@@ -38,30 +38,30 @@ HELD_OUT_SEED = 2027
 #: workload (and where it should stay flat).
 LAYER_MAP = {
     "matchers.vote.*, voting.merge.*, matchers.profile.*, match.engine.*": {
-        "moves": {"case_study": ["mean_ms", "ops_per_s", "full_match_s (report)"]},
-        "flat": ["corpus_query", "served_mix mean_ms"],
+        "moves": {"case_study": ["mean_ms_at_ref", "ops_per_s_at_ref", "full_match_s (report)"]},
+        "flat": ["corpus_query", "served_mix mean_ms_at_ref"],
     },
     "matchers.score_pairs.*, batch.blocking.*, batch.warm.*, batch.runner.*, batch.candidate_fraction": {
         "moves": {
-            "case_study": ["auto_match_s (report)", "ops_per_s"],
-            "corpus_query": ["mean_ms"],
-            "served_mix": ["tail_ms"],
+            "case_study": ["auto_match_s (report)", "ops_per_s_at_ref"],
+            "corpus_query": ["mean_ms_at_ref"],
+            "served_mix": ["tail_ms_at_ref"],
         },
     },
     "corpus.retrieve.*, corpus.refresh.*, service.resolve.*, repository.read.*, reuse.rematch.*, "
     "corpus.matched_per_returned": {
-        "moves": {"corpus_query": ["mean_ms", "tail_ms", "ops_per_s"]},
+        "moves": {"corpus_query": ["mean_ms_at_ref", "tail_ms_at_ref", "ops_per_s_at_ref"]},
     },
     "repository.write.*": {
         "moves": {
             "corpus_query": ["write_p50_ms (report)"],
-            "served_mix": ["write_p50_ms (report)", "tail_ms"],
+            "served_mix": ["write_p50_ms (report)", "tail_ms_at_ref"],
         },
     },
     "server.handler.*, server.cache.get.*, server.cache.put.*, server.cache.hit_ratio, "
     "server.cache.invalidations, server.key.*, client.decode.*, server.wait_ms, loadgen.late_ms, "
     "network.route.*, network.refresh.*": {
-        "moves": {"served_mix": ["mean_ms", "p50_ms (report)", "max_rps (report)", "ops_per_s"]},
+        "moves": {"served_mix": ["mean_ms_at_ref", "p50_ms (report)", "max_rps (report)", "ops_per_s_at_ref"]},
         "flat": ["case_study", "corpus_query"],
     },
 }

@@ -9,6 +9,7 @@ seed always yields byte-identical inputs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from pathlib import Path
@@ -194,21 +195,46 @@ def served_mix_inputs(
     ]
     rng.shuffle(network_keys)
 
+    def stratified(shares: dict, count: int, block: int) -> list:
+        """``count`` labels in the exact ``shares``, spread evenly.
+
+        Each run of ``block`` consecutive labels holds every label in its
+        share (shuffled within the block), so a run's request mix and
+        the spacing of its expensive requests do not depend on the seed.
+        """
+        per_block = {label: round(share * block) for label, share in shares.items()}
+        labels: list = []
+        while len(labels) < count:
+            chunk = [label for label, n in per_block.items() for _ in range(n)]
+            rng.shuffle(chunk)
+            labels.extend(chunk)
+        return labels[:count]
+
+    # Sources cycle through the served names, so every seed's corpus and
+    # network requests cover the same share of the registry.
+    corpus_cycle = itertools.cycle(corpus_keys)
+    network_cycle = itertools.cycle(network_keys)
+    # A hot set that the response cache can hold, and a tail over every
+    # other ordered pair -- a key space larger than the cache, so tail
+    # requests keep missing.
+    hot_keys, tail_cycle = match_keys[:hot_pairs], itertools.cycle(match_keys[hot_pairs:])
+
     def draw(count: int) -> list[tuple[str, dict]]:
-        kinds = rng.choices(list(mix), weights=list(mix.values()), k=count)
+        kinds = stratified(mix, count, block=20)
+        n_match = kinds.count("/match")
+        temperature = iter(stratified({"hot": hot_share, "tail": 1 - hot_share}, n_match, block=10))
         drawn = []
         for kind in kinds:
             if kind == "/match":
-                # A hot set that the response cache can hold, and a tail
-                # over every ordered pair -- a key space larger than the
-                # cache, so tail requests keep missing.
-                hot = rng.random() < hot_share
-                source_name, target_name = rng.choice(match_keys[:hot_pairs] if hot else match_keys)
+                if next(temperature) == "hot":
+                    source_name, target_name = rng.choice(hot_keys)
+                else:
+                    source_name, target_name = next(tail_cycle)
                 body = {"source": source_name, "target": target_name}
             elif kind == "/corpus-match":
-                body = {"source": rng.choice(corpus_keys), "top_k": 3, "retrieval_limit": 3}
+                body = {"source": next(corpus_cycle), "top_k": 3, "retrieval_limit": 3}
             else:
-                source_name, target_name = rng.choice(network_keys)
+                source_name, target_name = next(network_cycle)
                 body = {"source": source_name, "target": target_name, "max_hops": 2}
             drawn.append((kind, body))
         return drawn

@@ -166,7 +166,8 @@ def main() -> int:
     if recorder is not None:
         recorder.dump(str(workdir / "spans_loadgen.json"))
     (workdir / "loadgen.json").write_text(
-        json.dumps({"requests": request_records, "writes": write_records}), encoding="utf-8"
+        json.dumps({"origin": origin, "requests": request_records, "writes": write_records}),
+        encoding="utf-8",
     )
     return 0
 

@@ -17,10 +17,13 @@ Correctness is judged by the parent (``referee.py``) from that file.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import resource
 import time
 from pathlib import Path
+
+from probe import probe_ms
 
 
 def _peak_rss_mb() -> float:
@@ -85,6 +88,8 @@ def case_study(args, workdir: Path, ops: _Ops) -> dict:
             steps.append(
                 {
                     "ms": elapsed_ms,
+                    # Host speed, sampled between increments (untimed).
+                    "probe_ms": probe_ms(),
                     "n_source": response.n_source,
                     "n_pairs": response.n_pairs,
                     "pairs": _triples(response.correspondences),
@@ -103,6 +108,11 @@ def case_study(args, workdir: Path, ops: _Ops) -> dict:
         )
         if first is None:
             first = (service, full, auto)
+        # The outputs kept for the referees grow with every session; keep
+        # them out of the collector's scans, so later sessions do not pay
+        # for the benchmark's own bookkeeping.
+        gc.collect()
+        gc.freeze()
     measured_s = time.perf_counter() - started
     peak = _peak_rss_mb()
 
@@ -184,6 +194,8 @@ def corpus_query(args, workdir: Path, ops: _Ops) -> dict:
             records.append(
                 {
                     "ms": elapsed_ms,
+                    # Host speed, sampled between queries (untimed).
+                    "probe_ms": probe_ms(),
                     "source": name,
                     "after_write": after_write,
                     "expected_registered": expected,
