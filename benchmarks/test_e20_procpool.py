@@ -147,7 +147,7 @@ def test_e20_procpool(tmp_path, report_factory):
         n_domains=2, schemata_per_domain=4, seed=2009
     )
     db_path = str(tmp_path / "e20.db")
-    with MetadataRepository(path=db_path, backend="pooled") as seeder:
+    with MetadataRepository(path=db_path) as seeder:
         for generated in corpus.schemata:
             seeder.register(generated.schema)
         names = sorted(seeder.schema_names())
@@ -178,7 +178,7 @@ def test_e20_procpool(tmp_path, report_factory):
                 server.kill()
 
     # -- referee: direct in-process answers ----------------------------
-    with MetadataRepository(path=db_path, backend="pooled") as repository:
+    with MetadataRepository(path=db_path) as repository:
         referee = MatchService(repository=repository)
         score_drift = 0.0
         for request in requests:
@@ -205,7 +205,7 @@ def test_e20_procpool(tmp_path, report_factory):
     n_checked = 0
     try:
         sweep_clients = [MatchServiceClient(server.url) for _ in range(2)]
-        with MetadataRepository(path=db_path, backend="pooled") as repository:
+        with MetadataRepository(path=db_path) as repository:
             referee = MatchService(repository=repository)
             # Give the a->c network route edges to compose (these two
             # persists are themselves cross-process writes the workers

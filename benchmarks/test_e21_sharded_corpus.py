@@ -6,14 +6,18 @@ of magnitude past E17's hundred-schema bench.  This bench drives the
 sharded corpus subsystem at that scale and holds it to four contracts:
 
 * **bulk ingestion** -- 10k schemata land through
-  ``bulk_register_schemas`` (one transaction per chunk) at >= 5x the
-  rate of a ``register()`` loop (two write transactions per schema),
-  measured on the same single-connection SQLite store kind --
-  registration path only, best of three paired runs, since sub-second
-  single-shot SQLite timings are fsync-noise dominated;
-* **exactness** -- sharded top-k scores equal the unsharded engine's to
-  1e-9 at 1k and at 10k (the implementation is bit-identical; the bench
-  asserts the looser published tolerance);
+  ``bulk_register_schemas`` in at most one write transaction per
+  256-schema chunk, where a ``register()`` loop pays two per schema.
+  The gate counts ``BEGIN IMMEDIATE`` statements on the store's one
+  traced connection, not time: a WAL commit at ``synchronous=NORMAL``
+  does not sync the disk, so batching saves per-transaction overhead
+  rather than a disk sync per commit, and the rate ratio (reported,
+  best of three paired runs) is too small to separate batched from
+  unbatched ingest on a noisy host;
+* **exactness** -- sharded top-k scores equal those of the reference
+  ``SchemaSearchEngine`` over one unsharded ``SchemaIndex`` of the same
+  registry to 1e-9 at 1k and at 10k (the implementation is
+  bit-identical; the bench asserts the looser published tolerance);
 * **flat retrieval** -- p50 ``top_candidates`` latency grows <= 1.5x
   from 1k to 10k schemata.  The corpus scales by ADDING domains at
   constant domain size (:func:`~repro.synthetic.generate_scaled_corpus`
@@ -21,18 +25,23 @@ sharded corpus subsystem at that scale and holds it to four contracts:
   scorer must exploit that and skip the corpus-wide low-idf facet tail;
 * **live refresh** -- with the refresh worker running, a forced full
   rebuild of all 10k entries never blocks queries (reads stay on the
-  published shard snapshots), and an interleaved register/query sweep
-  sees every registration immediately (zero stale results -- the
-  synchronous fallback, not the worker, is the correctness backstop).
+  published shard snapshots), the rebuild itself is not starved by them
+  (its wall time stays within 4x its own CPU time), and an interleaved
+  register/query sweep sees every registration immediately (zero stale
+  results -- the synchronous fallback, not the worker, is the
+  correctness backstop).
 """
 
+import math
 import statistics
 import threading
 import time
+from collections import Counter
 
-from repro.corpus import CorpusIndex, CorpusRefreshWorker, ShardedCorpusIndex, bulk_ingest
+from repro.corpus import CorpusRefreshWorker, ShardedCorpusIndex, bulk_ingest
 from repro.repository import MetadataRepository
 from repro.schema.serialize import schema_from_dict, schema_to_dict
+from repro.search import SchemaIndex, SchemaQuery, SchemaSearchEngine
 from repro.synthetic import generate_scaled_corpus
 
 N_SMALL = 1_000
@@ -41,10 +50,15 @@ SCHEMATA_PER_DOMAIN = 50
 N_SHARDS = 8
 TOP_K = 5
 LOOP_SAMPLE = 400            # register()-loop timing subsample
-INGEST_SPEEDUP_FLOOR = 5.0
+INGEST_CHUNK = 256           # schemata per bulk write transaction
 EXACTNESS_TOLERANCE = 1e-9
 P50_RATIO_CEILING = 1.5
 BLOCKED_QUERY_CEILING = 1.0  # seconds; lock-free reads sit ~3 orders below
+#: Forced refresh wall time over its own thread's CPU time while one
+#: query loop races it: ~2 when the two share the interpreter lock
+#: fairly, ~16 when every SQLite row read cost the refresher a switch
+#: interval.
+REFRESH_STRETCH_CEILING = 4.0
 
 
 def _p50(seconds: list[float]) -> float:
@@ -54,6 +68,30 @@ def _p50(seconds: list[float]) -> float:
 def _query_names(corpus, n_queries: int) -> list[str]:
     step = max(1, len(corpus.names) // n_queries)
     return corpus.names[::step][:n_queries]
+
+
+def _traced_store(path: str) -> tuple[MetadataRepository, list[str]]:
+    """A one-connection store whose every SQL statement is recorded."""
+    repository = MetadataRepository(path=path, pool_size=1)
+    connection = repository.backend._acquire()
+    repository.backend._release(connection)
+    statements: list[str] = []
+    connection.set_trace_callback(statements.append)
+    return repository, statements
+
+
+def _write_transactions(statements: list[str]) -> int:
+    return sum(1 for sql in statements if sql.strip().upper() == "BEGIN IMMEDIATE")
+
+
+def _reference_engine(repository) -> SchemaSearchEngine:
+    """``SchemaSearchEngine`` over one unsharded index of the persisted
+    fingerprints (the term bags the sharded index is built from)."""
+    index = SchemaIndex()
+    names = repository.schema_names()
+    for name, fingerprint in repository.get_fingerprints(names).items():
+        index.add_entry(name, Counter(fingerprint["terms"]))
+    return SchemaSearchEngine(index)
 
 
 def _measure_queries(index, corpus, names: list[str]) -> list[float]:
@@ -82,27 +120,32 @@ def test_e21_sharded_corpus(tmp_path, report_factory):
     )
 
     # ---- bulk ingestion vs loop registration (same store kind) ---------
-    # Registration only, fingerprints off on BOTH sides, best-of-3 paired
-    # runs on fresh stores: the contract is about transaction batching
-    # (one BEGIN IMMEDIATE per chunk vs per-schema write transactions),
-    # and a single ~0.3s loop window is fsync-noise dominated.
+    # Registration only, fingerprints off on BOTH sides, on fresh stores:
+    # the contract is transaction batching (one BEGIN IMMEDIATE per chunk
+    # vs per-schema write transactions), counted on the traced
+    # connection.  The rates are best-of-3 paired runs, reported only.
     loop_rate = bulk_rate = 0.0
     for rep in range(3):
-        with MetadataRepository(path=str(tmp_path / f"loop{rep}.db")) as repository:
+        repository, statements = _traced_store(str(tmp_path / f"loop{rep}.db"))
+        with repository:
             sample = large.schemata[:LOOP_SAMPLE]
             started = time.perf_counter()
             for generated in sample:
                 repository.register(generated.schema)
             loop_rate = max(loop_rate, LOOP_SAMPLE / (time.perf_counter() - started))
-        with MetadataRepository(path=str(tmp_path / f"blk{rep}.db")) as repository:
+        loop_transactions = _write_transactions(statements)
+        repository, statements = _traced_store(str(tmp_path / f"blk{rep}.db"))
+        with repository:
             trial = bulk_ingest(
                 repository,
                 (generated.schema for generated in large.schemata),
+                chunk_size=INGEST_CHUNK,
                 fingerprint=False,
             )
             assert trial.n_written == N_LARGE
             bulk_rate = max(bulk_rate, N_LARGE / trial.register_seconds)
-    speedup = bulk_rate / loop_rate
+        bulk_transactions = _write_transactions(statements)
+    chunk_ceiling = math.ceil(N_LARGE / INGEST_CHUNK)
 
     # The real thing once, fingerprints and all: this store feeds every
     # later phase of the bench.
@@ -116,9 +159,16 @@ def test_e21_sharded_corpus(tmp_path, report_factory):
         assert ingest.n_written == N_LARGE
         assert len(repository) == N_LARGE
     report.row(
+        "write transactions, bulk vs register() loop",
+        f"<= {chunk_ceiling} for {N_LARGE:,}",
+        f"{bulk_transactions} for {N_LARGE:,} vs {loop_transactions} for "
+        f"{LOOP_SAMPLE} ({loop_transactions / LOOP_SAMPLE:.1f}/schema)",
+    )
+    report.row(
         "bulk registration rate (schemata/s)",
-        f">= {INGEST_SPEEDUP_FLOOR}x loop",
-        f"{bulk_rate:,.0f}/s vs {loop_rate:,.0f}/s loop ({speedup:.1f}x, best of 3)",
+        "reported",
+        f"{bulk_rate:,.0f}/s vs {loop_rate:,.0f}/s loop "
+        f"({bulk_rate / loop_rate:.1f}x, best of 3)",
     )
     report.row(
         "full ingest incl. fingerprints (off the loop path)",
@@ -126,27 +176,30 @@ def test_e21_sharded_corpus(tmp_path, report_factory):
         f"{ingest.schemata_per_second:,.0f}/s end-to-end "
         f"({ingest.fingerprint_seconds:.1f}s fingerprinting)",
     )
-    assert speedup >= INGEST_SPEEDUP_FLOOR
+    assert bulk_transactions <= chunk_ceiling
+    assert loop_transactions >= 2 * LOOP_SAMPLE
 
     # ---- exactness and p50 flatness, 1k vs 10k -------------------------
     small_repo = MetadataRepository()
     bulk_ingest(small_repo, (g.schema for g in small.schemata), fingerprint=True)
 
     with MetadataRepository(path=bulk_path) as large_repo:
-        flat_small, flat_large = CorpusIndex(small_repo), CorpusIndex(large_repo)
         sharded_small = ShardedCorpusIndex(small_repo, n_shards=N_SHARDS)
         sharded_large = ShardedCorpusIndex(large_repo, n_shards=N_SHARDS)
-        for index in (flat_small, flat_large, sharded_small, sharded_large):
+        for index in (sharded_small, sharded_large):
             index.refresh()
 
         worst = 0.0
-        for corpus, flat, sharded, n_queries in (
-            (small, flat_small, sharded_small, 6),
-            (large, flat_large, sharded_large, 4),
+        for corpus, repo, sharded, n_queries in (
+            (small, small_repo, sharded_small, 6),
+            (large, large_repo, sharded_large, 4),
         ):
+            reference = _reference_engine(repo)
             for name in _query_names(corpus, n_queries):
                 query = corpus.by_name(name).schema
-                expected = flat.top_candidates(query, limit=TOP_K, exclude=name)
+                expected = reference.search(
+                    SchemaQuery(query), limit=TOP_K, exclude=name
+                )
                 actual = sharded.top_candidates(query, limit=TOP_K, exclude=name)
                 assert [h.schema_name for h in actual] == [
                     h.schema_name for h in expected
@@ -154,7 +207,7 @@ def test_e21_sharded_corpus(tmp_path, report_factory):
                 for got, want in zip(actual, expected):
                     worst = max(worst, abs(got.score - want.score))
         report.row(
-            "sharded vs unsharded score divergence",
+            "sharded vs reference engine score divergence",
             f"<= {EXACTNESS_TOLERANCE}",
             f"{worst:.2e} (worst absolute)",
         )
@@ -186,11 +239,13 @@ def test_e21_sharded_corpus(tmp_path, report_factory):
         )
         refresh_done = threading.Event()
         refresh_seconds = [0.0]
+        refresh_cpu = [0.0]
 
         def full_rebuild():
-            started = time.perf_counter()
+            started, cpu_started = time.perf_counter(), time.thread_time()
             refresh = sharded_large.refresh(force=True)
             refresh_seconds[0] = time.perf_counter() - started
+            refresh_cpu[0] = time.thread_time() - cpu_started
             assert refresh.n_derived == len(invalidated)
             refresh_done.set()
 
@@ -204,13 +259,19 @@ def test_e21_sharded_corpus(tmp_path, report_factory):
                 sharded_large.top_candidates(query, limit=TOP_K, exclude=name)
                 during.append(time.perf_counter() - started)
         rebuilder.join()
+        stretch = refresh_seconds[0] / refresh_cpu[0]
         report.row(
             "max query latency during forced full refresh",
             f"<= {BLOCKED_QUERY_CEILING}s",
-            f"{max(during) * 1e3:.1f}ms over {len(during)} queries "
-            f"(refresh took {refresh_seconds[0]:.1f}s)",
+            f"{max(during) * 1e3:.1f}ms over {len(during)} queries",
+        )
+        report.row(
+            "forced refresh wall / its CPU time, racing queries",
+            f"<= {REFRESH_STRETCH_CEILING}x",
+            f"{refresh_seconds[0]:.1f}s / {refresh_cpu[0]:.1f}s ({stretch:.2f}x)",
         )
         assert max(during) <= BLOCKED_QUERY_CEILING
+        assert stretch <= REFRESH_STRETCH_CEILING
 
         # ---- zero stale results under interleaved register/query -------
         worker = CorpusRefreshWorker(sharded_large, interval=0.05)

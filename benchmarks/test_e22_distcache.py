@@ -98,7 +98,7 @@ class _Process:
 def _replica(db_path: str, label: str, extra: list[str]) -> _Process:
     return _Process(
         label,
-        ["serve", "--db", db_path, "--backend", "pooled", "--port", "0", *extra],
+        ["serve", "--db", db_path, "--port", "0", *extra],
         "serving on ",
     )
 
@@ -153,7 +153,7 @@ def test_e22_distcache(tmp_path, report_factory):
         n_domains=2, schemata_per_domain=4, seed=2009
     )
     db_path = str(tmp_path / "e22.db")
-    with MetadataRepository(path=db_path, backend="pooled") as seeder:
+    with MetadataRepository(path=db_path) as seeder:
         for generated in corpus.schemata:
             seeder.register(generated.schema)
         names = sorted(seeder.schema_names())
@@ -204,7 +204,7 @@ def test_e22_distcache(tmp_path, report_factory):
         clients = [
             MatchServiceClient(replica.announced) for replica in replicas
         ]
-        with MetadataRepository(path=db_path, backend="pooled") as repository:
+        with MetadataRepository(path=db_path) as repository:
             referee = MatchService(repository=repository)
             referee.persist(
                 referee.match_pair(names[0], names[1], options=OPTIONS)
@@ -294,7 +294,7 @@ def test_e22_distcache(tmp_path, report_factory):
         cache.kill()
 
     # -- referee: direct in-process answers ----------------------------
-    with MetadataRepository(path=db_path, backend="pooled") as repository:
+    with MetadataRepository(path=db_path) as repository:
         referee = MatchService(repository=repository)
         score_drift = 0.0
         for request in requests:

@@ -158,7 +158,7 @@ def test_e24_telemetry(tmp_path, report_factory):
     if not hasattr(os, "fork"):  # pragma: no cover - POSIX-only
         pytest.skip("process-pool serving is POSIX-only")
     db_path = str(tmp_path / "e24.db")
-    with MetadataRepository(path=db_path, backend="pooled") as seeded:
+    with MetadataRepository(path=db_path) as seeded:
         for generated in corpus.schemata:
             seeded.register(generated.schema)
     process = subprocess.Popen(

@@ -506,33 +506,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise _fail(
             f"--refresh-interval must be positive, got {args.refresh_interval}"
         )
-    if args.corpus_shards is not None and args.corpus_shards < 1:
+    if args.corpus_shards < 1:
         raise _fail(f"--corpus-shards must be >= 1, got {args.corpus_shards}")
     if args.slow_ms < 0:
         raise _fail(f"--slow-ms must be >= 0, got {args.slow_ms}")
     if args.trace_sample is not None and not 0.0 <= args.trace_sample <= 1.0:
         raise _fail(f"--trace-sample must be in [0, 1], got {args.trace_sample}")
-    backend = None if args.backend == "auto" else args.backend
-    if backend in ("sqlite", "pooled") and args.db is None:
-        raise _fail(f"--backend {backend} needs --db (a repository file)")
     if args.workers > 1:
         if args.db is None:
             raise _fail(
                 "--workers > 1 needs --db: the worker processes share one "
                 "WAL repository file, not one address space"
             )
-        if backend == "sqlite":
-            raise _fail(
-                "--workers > 1 requires the pooled backend "
-                "(drop --backend sqlite or use --backend pooled)"
-            )
         if not hasattr(os, "fork"):
             raise _fail("--workers > 1 needs os.fork (POSIX only)")
         return _serve_process_pool(args)
     try:
-        repository = MetadataRepository(
-            path=args.db, backend=backend, pool_size=args.pool_size
-        )
+        repository = MetadataRepository(path=args.db, pool_size=args.pool_size)
     except sqlite3.Error as exc:
         raise _fail(f"cannot open repository {args.db!r}: {exc}") from exc
     try:
@@ -595,11 +585,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         raise _fail(f"--chunk-size must be >= 1, got {args.chunk_size}")
     if args.workers is not None and args.workers < 1:
         raise _fail(f"--workers must be >= 1, got {args.workers}")
-    backend = None if args.backend == "auto" else args.backend
     try:
-        repository = MetadataRepository(
-            path=args.db, backend=backend, pool_size=args.pool_size
-        )
+        repository = MetadataRepository(path=args.db, pool_size=args.pool_size)
     except sqlite3.Error as exc:
         raise _fail(f"cannot open repository {args.db!r}: {exc}") from exc
     try:
@@ -645,9 +632,7 @@ def _serve_process_pool(args: argparse.Namespace) -> int:
     # is fully closed again: SQLite connections must never cross a fork, so
     # the parent holds none while the workers start.
     try:
-        repository = MetadataRepository(
-            path=args.db, backend="pooled", pool_size=args.pool_size
-        )
+        repository = MetadataRepository(path=args.db, pool_size=args.pool_size)
     except sqlite3.Error as exc:
         raise _fail(f"cannot open repository {args.db!r}: {exc}") from exc
     try:
@@ -949,13 +934,8 @@ def build_parser() -> argparse.ArgumentParser:
              "one pooled-WAL store (needs --db)",
     )
     serve_parser.add_argument(
-        "--backend", choices=("auto", "sqlite", "pooled"), default="auto",
-        help="storage backend for --db (auto: legacy sqlite single-worker, "
-             "pooled WAL when --workers > 1)",
-    )
-    serve_parser.add_argument(
         "--pool-size", type=int, default=4,
-        help="SQLite connections per pooled backend (per worker process)",
+        help="SQLite connections per --db store (per worker process)",
     )
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument(
@@ -980,9 +960,9 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: refresh synchronously on the query path)",
     )
     serve_parser.add_argument(
-        "--corpus-shards", type=int, default=None,
+        "--corpus-shards", type=int, default=1,
         help="partition the corpus index into N hash-range shards "
-             "(default: one unsharded index; retrieval is exact either way)",
+             "(default: 1, unsharded; retrieval is exact either way)",
     )
     serve_parser.add_argument(
         "--cache-url", default=None, metavar="HOST:PORT",
@@ -1064,13 +1044,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="SQLite repository path (created if missing)",
     )
     ingest_parser.add_argument(
-        "--backend", choices=("auto", "sqlite", "pooled"), default="auto",
-        help="storage backend for --db (auto picks the legacy single-"
-             "connection store)",
-    )
-    ingest_parser.add_argument(
         "--pool-size", type=int, default=4,
-        help="SQLite connections for --backend pooled",
+        help="SQLite connections for the --db store",
     )
     ingest_parser.add_argument(
         "--chunk-size", type=int, default=256,

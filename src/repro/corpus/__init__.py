@@ -1,14 +1,14 @@
 """Corpus matching: persistent indexing and top-k retrieval over a registry.
 
 The glue between the metadata repository (schemata + match knowledge) and
-the match service: :class:`CorpusIndex` keeps a lazily refreshed,
-fingerprint-persisted inverted index over every registered schema and
-serves the top-k retrieval stage of ``MatchService.corpus_match``.
-:class:`ShardedCorpusIndex` is the partitioned variant (exact merged
-retrieval, per-shard refresh, optional :class:`CorpusRefreshWorker`
-keeping shards warm off the request path), and :func:`bulk_ingest` is
-the batched registration pipeline behind ``repro ingest``.  See
-``docs/repository.md`` and ``docs/serving.md``.
+the match service: :class:`ShardedCorpusIndex` keeps a lazily refreshed,
+fingerprint-persisted inverted index over every registered schema,
+partitioned into hash-range shards whose merged top-k is exact, and
+serves the top-k retrieval stage of ``MatchService.corpus_match``
+(:class:`CorpusIndex` is its one-shard constructor).  An optional
+:class:`CorpusRefreshWorker` keeps shards warm off the request path, and
+:func:`bulk_ingest` is the batched registration pipeline behind ``repro
+ingest``.  See ``docs/repository.md`` and ``docs/serving.md``.
 """
 
 from repro.corpus.index import (

@@ -4,64 +4,94 @@ The paper's section-5 registry scenario -- hundreds to thousands of
 registered schemata, matched against routinely rather than one pair at a
 time -- needs a retrieval stage in front of matching: "complementary search
 tools ... to locate potential match candidates from a larger pool of
-schemata".  :class:`CorpusIndex` is that stage, bound to a
+schemata".  :class:`ShardedCorpusIndex` is that stage, bound to a
 :class:`~repro.repository.store.MetadataRepository`:
 
-* each registered schema is profiled ONCE into a term *fingerprint*
-  (the pipeline-normalised term bag of :func:`repro.search.index.schema_terms`
-  plus a content hash), persisted through the repository backend -- on the
-  SQLite backend fingerprints survive process restarts, so reopening a
-  500-schema repository rebuilds the index from stored term bags without
-  re-deserialising or re-profiling a single schema;
-* the in-memory inverted index (:class:`~repro.search.index.SchemaIndex`)
-  is rebuilt *lazily*: every query first compares the repository's
-  :attr:`~repro.repository.store.MetadataRepository.generation` clock
-  against the generation the index was built at, and refreshes
-  incrementally (only added/removed/re-registered names are touched);
-* :meth:`CorpusIndex.top_candidates` runs schema-as-query BM25 retrieval
-  ("simply use one's target schema as the 'query term'", section 2) and
-  returns the ranked candidate schemata that
-  ``MatchService.corpus_match`` then actually matches.
+* **Fingerprints** -- each registered schema is profiled ONCE into a term
+  *fingerprint* (the pipeline-normalised term bag of
+  :func:`repro.search.index.schema_terms` plus a content hash), persisted
+  through the repository backend -- on the SQLite backend fingerprints
+  survive process restarts, so reopening a 500-schema repository rebuilds
+  the index from stored term bags without re-deserialising or
+  re-profiling a single schema.
+* **Shards** -- the index partitions fingerprints across ``n_shards``
+  hash ranges (:func:`shard_of_name` maps the 32-bit prefix of the name's
+  SHA-256 onto contiguous ranges; a domain-aware ``shard_assign``
+  callable may override).  Every schema lives in exactly ONE shard, so
+  global corpus statistics (document count, document frequency, total
+  term mass) are plain sums over shards -- which is what lets per-shard
+  retrieval merge into top-k results whose BM25 scores are *identical*
+  to :class:`~repro.search.rank.SchemaSearchEngine` over one index of the
+  same registry (bit-for-bit: same arithmetic, same term order, same
+  tie-breaks; bench E21 asserts 1e-9).  One shard is the unsharded case:
+  :class:`CorpusIndex` is that constructor.
+* **Lazy incremental refresh** -- every query first compares the
+  repository's :attr:`~repro.repository.store.MetadataRepository.generation`
+  clock against each shard's build stamp, and a stale shard is rebuilt
+  incrementally (only added/removed/re-registered names are touched).  A
+  stored payload that cannot be deserialised is skipped -- logged once,
+  counted on :class:`CorpusRefresh`, never indexed, retried when its
+  content changes -- so one malformed record cannot fail every query
+  over the registry.
+* **Pruned exact scoring** -- the merged scorer processes query terms in
+  descending score-upper-bound order (``idf * (k1+1) * min(qc, 3)`` --
+  every BM25 contribution is strictly below its bound because the tf
+  saturation ``tf/(tf + k1*norm)`` is strictly below 1).  Once ``limit``
+  candidates hold exact scores and the remaining terms' bound sum cannot
+  beat the current k-th score, the long tail of low-idf postings is
+  never visited.  Documents that ARE scored get the exact doc-at-a-time
+  sum in original query-term order, so pruning changes which documents
+  are *visited*, never any returned score.
 
-**Concurrency: refresh publishes atomically.**  The index state (inverted
-index, content-hash map, generation stamp) is one immutable snapshot
-swapped by a single reference assignment, the same pattern as
+**Concurrency: refresh publishes atomically.**  Each shard's state
+(inverted index, content-hash map, generation stamp) is one immutable
+snapshot swapped by a single reference assignment, the same pattern as
 :class:`~repro.network.graph.MappingGraph`'s adjacency cache.  Readers
-with a fresh snapshot never take a lock at all; a stale reader enters the
-refresh lock, where the refresher rebuilds *aside* (cloning the published
-index, touching only the changed entries) and swaps.  A full forced
-rebuild therefore never stalls concurrent ``top_candidates`` calls: they
-keep searching the previous snapshot until the new one is published.
+whose shards are fresh never take a lock at all; a stale reader enters
+the refresh lock, where the refresher rebuilds *aside* (cloning the
+published index, touching only the changed entries) and swaps.  A full
+forced rebuild therefore never stalls concurrent ``top_candidates``
+calls: they keep searching the previous snapshots until the new ones are
+published.  :class:`~repro.corpus.sharding.CorpusRefreshWorker` keeps
+shards warm off the request path.
 
 The lifecycle (build -> persist -> stale -> incremental refresh) is
-documented with a worked example in ``docs/repository.md``; the sharded
-variant that splits this index into independently refreshable partitions
-lives in :mod:`repro.corpus.sharding`.
+documented with a worked example in ``docs/repository.md``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
+import logging
+import math
 import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.repository.store import MetadataRepository
+from repro.schema.errors import SchemaError
 from repro.schema.schema import Schema
 from repro.schema.serialize import schema_from_dict
 from repro.search.index import SchemaIndex, schema_terms
 from repro.search.query import SchemaQuery
-from repro.search.rank import SchemaSearchEngine, SearchHit
+from repro.search.rank import SearchHit
 
 __all__ = [
     "FINGERPRINT_FORMAT_VERSION",
     "CorpusRefresh",
     "CorpusIndex",
+    "ShardStats",
+    "ShardedCorpusIndex",
     "payload_hash",
     "build_fingerprint",
+    "shard_of_name",
 ]
+
+logger = logging.getLogger(__name__)
 
 #: Bumped whenever the term derivation changes incompatibly; fingerprints
 #: written under another version are re-derived, not trusted.
@@ -71,6 +101,16 @@ FINGERPRINT_FORMAT_VERSION = 1
 #: bulk ingest: bounds transaction size (and write-lock hold time on the
 #: pooled backend) while keeping a cold build to a handful of commits.
 PERSIST_CHUNK = 512
+
+#: Must mirror ``SchemaSearchEngine``'s defaults: the merged scorer
+#: replicates its arithmetic exactly, so the constants must be the same
+#: objects conceptually (exactness is asserted by tests and bench E21).
+_K1 = 1.5
+_B = 0.75
+
+#: What ``schema_from_dict`` raises on a malformed stored payload
+#: (unknown format version, missing keys, bad enum values, wrong types).
+_UNREADABLE_PAYLOAD = (SchemaError, KeyError, TypeError, ValueError, AttributeError)
 
 
 def payload_hash(payload: dict) -> str:
@@ -93,11 +133,17 @@ def build_fingerprint(payload: dict, content_hash: str | None = None) -> dict:
     (:mod:`repro.corpus.ingest`), which precomputes fingerprints so the
     first query over a freshly ingested corpus derives nothing.
     """
-    schema = schema_from_dict(payload)
+    return _schema_fingerprint(
+        schema_from_dict(payload),
+        content_hash if content_hash is not None else payload_hash(payload),
+    )
+
+
+def _schema_fingerprint(schema: Schema, content_hash: str) -> dict:
     terms, _root_terms = schema_terms(schema)
     return {
         "format_version": FINGERPRINT_FORMAT_VERSION,
-        "hash": content_hash if content_hash is not None else payload_hash(payload),
+        "hash": content_hash,
         "n_terms": sum(terms.values()),
         "terms": dict(terms),
     }
@@ -105,7 +151,7 @@ def build_fingerprint(payload: dict, content_hash: str | None = None) -> dict:
 
 @dataclass(frozen=True)
 class CorpusRefresh:
-    """What one :meth:`CorpusIndex.refresh` actually did."""
+    """What one :meth:`ShardedCorpusIndex.refresh` actually did."""
 
     n_indexed: int            # index size after the refresh
     n_added: int              # entries (re)built this refresh
@@ -113,6 +159,9 @@ class CorpusRefresh:
     n_from_fingerprints: int  # of n_added: reloaded from persisted term bags
     n_derived: int            # of n_added: profiled from the live schema
     elapsed_seconds: float
+    #: Registered payloads that could not be read: left out of the index
+    #: (and retried once their stored content changes).
+    n_skipped: int = 0
 
     @property
     def was_noop(self) -> bool:
@@ -126,95 +175,230 @@ class _IndexState:
     private clones); readers may use a captured state without locking.
     """
 
-    __slots__ = ("index", "hashes", "generation")
+    __slots__ = ("index", "hashes", "generation", "unreadable")
 
     def __init__(
         self,
         index: SchemaIndex,
         hashes: dict[str, str],
         generation: int | None,
+        unreadable: dict[str, str],
     ):
         self.index = index
         #: Content hash each indexed entry was built from (the per-entry
-        #: staleness signal; see :meth:`CorpusIndex.refresh`).
+        #: staleness signal; see :meth:`ShardedCorpusIndex.refresh`).
         self.hashes = hashes
         self.generation = generation
+        #: Content hash of each registered payload that could not be
+        #: read: not re-parsed (or re-logged) until that hash changes.
+        self.unreadable = unreadable
 
 
-class CorpusIndex:
-    """A lazily maintained inverted index over every registered schema.
+def shard_of_name(name: str, n_shards: int) -> int:
+    """Hash-range shard assignment: stable, uniform, order-free.
+
+    The first 32 bits of SHA-256 over the schema name, mapped onto
+    ``n_shards`` contiguous ranges (``prefix * n_shards >> 32``).  Keyed
+    on the *name* -- the stable identity fingerprints are stored under --
+    so re-registering changed content never migrates a schema between
+    shards; only register/unregister moves shard membership.
+    """
+    if n_shards < 1:
+        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+    prefix = int.from_bytes(
+        hashlib.sha256(name.encode("utf-8")).digest()[:4], "big"
+    )
+    return (prefix * n_shards) >> 32
+
+
+@dataclass(frozen=True)
+class ShardStats:
+    """Published state of one shard (a monitoring read, never a refresh)."""
+
+    shard: int                    # shard ordinal, 0-based
+    n_indexed: int                # entries in the published snapshot
+    built_generation: int | None  # stamp of the published snapshot
+    n_refreshes: int              # rebuilds that actually touched entries
+    last_refresh_seconds: float   # wall time of the last rebuild
+
+    def to_dict(self) -> dict:
+        return {
+            "shard": self.shard,
+            "n_indexed": self.n_indexed,
+            "built_generation": self.built_generation,
+            "n_refreshes": self.n_refreshes,
+            "last_refresh_seconds": self.last_refresh_seconds,
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "ShardStats":
+        return cls(
+            shard=payload["shard"],
+            n_indexed=payload["n_indexed"],
+            built_generation=payload["built_generation"],
+            n_refreshes=payload["n_refreshes"],
+            last_refresh_seconds=payload["last_refresh_seconds"],
+        )
+
+
+class _Shard:
+    """One partition: a published snapshot plus refresh counters."""
+
+    __slots__ = ("ordinal", "state", "n_refreshes", "last_refresh_seconds")
+
+    def __init__(self, ordinal: int):
+        self.ordinal = ordinal
+        self.state = _IndexState(SchemaIndex(), {}, None, {})
+        self.n_refreshes = 0
+        self.last_refresh_seconds = 0.0
+
+    def stats(self) -> ShardStats:
+        state = self.state
+        return ShardStats(
+            shard=self.ordinal,
+            n_indexed=len(state.index),
+            built_generation=state.generation,
+            n_refreshes=self.n_refreshes,
+            last_refresh_seconds=self.last_refresh_seconds,
+        )
+
+
+class ShardedCorpusIndex:
+    """A lazily maintained inverted index over every registered schema,
+    in N hash-range partitions merged exactly.
+
+    ``MatchService(corpus_shards=N)`` binds one under ``corpus_match``.
 
     Parameters
     ----------
     repository:
         The :class:`MetadataRepository` to index.  The index never mutates
         the registry; it only reads schemata and reads/writes fingerprints.
+    n_shards:
+        Partition count.  ``1`` is the unsharded index.
+    shard_assign:
+        Optional domain-aware override: a callable mapping a schema name
+        to a shard ordinal in ``[0, n_shards)``.  Keeping one enterprise
+        domain in one shard makes a domain-scoped ingest invalidate one
+        shard instead of all of them.  Must be stable per name; values
+        outside the range raise ``ValueError`` at refresh time.
 
     One index may be shared across threads (the serving tier does):
-    refreshers serialise on an internal lock and publish finished
+    refreshers serialise on an internal lock and publish finished shard
     snapshots atomically, so a registration landing mid-query can never
-    expose half-rebuilt postings -- and a reader whose snapshot is fresh
+    expose half-rebuilt postings -- and a reader whose snapshots are fresh
     proceeds without any locking at all.
     """
 
-    def __init__(self, repository: MetadataRepository):
+    def __init__(
+        self,
+        repository: MetadataRepository,
+        n_shards: int = 1,
+        shard_assign: Callable[[str], int] | None = None,
+    ):
+        if n_shards < 1:
+            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self.repository = repository
-        self._state = _IndexState(SchemaIndex(), {}, None)
-        self.last_refresh: CorpusRefresh | None = None
-        #: Serialises refreshers (never readers): one rebuild at a time,
-        #: published by swapping :attr:`_state`.
+        self.n_shards = n_shards
+        self._shard_assign = shard_assign
+        self._shards = [_Shard(ordinal) for ordinal in range(n_shards)]
+        #: Stable name -> shard memo (assignment hashes once per name,
+        #: not once per refresh scan).
+        self._assigned: dict[str, int] = {}
+        #: Serialises refreshers (never readers); shards publish by
+        #: reference swap, one at a time, as they finish.
         self._refresh_lock = threading.Lock()
+        self.last_refresh: CorpusRefresh | None = None
 
-    @property
-    def _index(self) -> SchemaIndex:
-        """The published inverted index (compat accessor for tests)."""
-        return self._state.index
+    # ------------------------------------------------------------------
+    # Shard assignment
+    # ------------------------------------------------------------------
+    def shard_of(self, name: str) -> int:
+        """The shard ordinal a schema name lives in."""
+        shard = self._assigned.get(name)
+        if shard is None:
+            if self._shard_assign is not None:
+                shard = int(self._shard_assign(name))
+                if not 0 <= shard < self.n_shards:
+                    raise ValueError(
+                        f"shard_assign({name!r}) returned {shard}, outside"
+                        f" [0, {self.n_shards})"
+                    )
+            else:
+                shard = shard_of_name(name, self.n_shards)
+            self._assigned[name] = shard
+        return shard
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def is_stale(self) -> bool:
-        """Whether the registry changed since the index was last built."""
-        return self._state.generation != self.repository.generation
+        """Whether any shard predates the repository's generation clock."""
+        generation = self.repository.generation
+        return any(shard.state.generation != generation for shard in self._shards)
 
-    @property
-    def built_generation(self) -> int | None:
-        """The generation stamp of the published snapshot (None = never built)."""
-        return self._state.generation
+    def stale_shards(self) -> list[int]:
+        """Ordinals of shards whose stamp predates the current clock."""
+        generation = self.repository.generation
+        return [
+            shard.ordinal
+            for shard in self._shards
+            if shard.state.generation != generation
+        ]
 
     def n_indexed(self) -> int:
-        """Entries in the published snapshot, WITHOUT refreshing first.
+        """Entries across published snapshots, WITHOUT refreshing first.
 
         The monitoring read (``/healthz``): cheap and lock-free, possibly
         one refresh behind -- unlike ``len(index)``, which refreshes.
         """
-        return len(self._state.index)
+        return sum(len(shard.state.index) for shard in self._shards)
+
+    def shard_stats(self) -> list[ShardStats]:
+        """Per-shard published stats (monitoring read; never refreshes)."""
+        return [shard.stats() for shard in self._shards]
 
     def refresh(self, force: bool = False) -> CorpusRefresh:
-        """Bring the index in sync with the repository (incrementally).
+        """Bring every shard in sync with the repository (incrementally).
 
-        A fresh index returns a no-op refresh immediately; a stale one
-        diffs indexed names against registered names and touches only the
-        difference.  Unchanged entries -- the common case after one
-        register into a large corpus -- are not re-read at all.
+        One registry scan (names + fingerprint hashes) shared by all
+        shards; each stale shard is then diffed and rebuilt aside --
+        unchanged shards are merely re-stamped, unchanged entries inside
+        a changed shard are not re-read at all.  Readers are never
+        blocked: they keep searching the published snapshots until each
+        shard's finished replacement is swapped in.
         """
         with self._refresh_lock:
-            return self._refresh_locked(force)
+            return self._refresh_locked(force, only=None)
 
-    def _refresh_locked(self, force: bool) -> CorpusRefresh:
+    def refresh_shard(self, shard: int, force: bool = False) -> CorpusRefresh:
+        """Refresh ONE shard (the others keep their published state)."""
+        if not 0 <= shard < self.n_shards:
+            raise ValueError(f"shard must be in [0, {self.n_shards}), got {shard}")
+        with self._refresh_lock:
+            return self._refresh_locked(force, only=shard)
+
+    def _refresh_locked(self, force: bool, only: int | None) -> CorpusRefresh:
         started = time.perf_counter()
         # Capture the clock ONCE, BEFORE reading the registry (on a
         # file-backed store each clock read is a real query, and this
         # runs per retrieval): a register landing mid-refresh then leaves
-        # the index stamped at the older generation, so the next query
+        # its shard stamped at the older generation, so the next query
         # refreshes again (over-refresh is safe; stamping the
         # post-refresh clock would mark unseen registrations as indexed
         # forever).  MappingGraph.refresh orders its clocks the same way.
         generation = self.repository.generation
-        state = self._state
-        if not force and state.generation == generation:
+        targets = (
+            self._shards if only is None else [self._shards[only]]
+        )
+        pending = [
+            shard
+            for shard in targets
+            if force or shard.state.generation != generation
+        ]
+        if not pending:
             refresh = CorpusRefresh(
-                n_indexed=len(state.index),
+                n_indexed=self.n_indexed(),
                 n_added=0,
                 n_removed=0,
                 n_from_fingerprints=0,
@@ -224,78 +408,115 @@ class CorpusIndex:
             self.last_refresh = refresh
             return refresh
 
+        # ONE registry scan for every pending shard.
         registered = set(self.repository.schema_names())
-        indexed = set(state.index.names)
-        removed = indexed - registered
-        # An indexed entry is stale when the persisted fingerprint hash no
-        # longer matches the hash this index built from: re-registering
-        # changed content drops the fingerprint (hash becomes absent), and
-        # a *sibling* index over the same repository may already have
-        # re-derived and re-persisted it (hash becomes different) -- both
-        # must rebuild here, unchanged entries are not touched at all.
         persisted = self.repository.fingerprint_hashes()
-        stale = {
-            name
-            for name in indexed & registered
-            if persisted.get(name) != state.hashes.get(name)
-        }
-        to_build = sorted((registered - indexed) | stale)
-        if not removed and not to_build:
-            # Membership and content unchanged (a no-op generation bump,
-            # or force over a fresh index): re-stamp without cloning.
-            self._state = _IndexState(state.index, state.hashes, generation)
-            refresh = CorpusRefresh(
-                n_indexed=len(state.index),
-                n_added=0,
-                n_removed=0,
-                n_from_fingerprints=0,
-                n_derived=0,
-                elapsed_seconds=time.perf_counter() - started,
-            )
-            self.last_refresh = refresh
-            return refresh
+        members: list[set[str]] = [set() for _ in range(self.n_shards)]
+        for name in registered:
+            members[self.shard_of(name)].add(name)
 
-        # Rebuild ASIDE: clone the published index (entries shared,
-        # postings copied), touch only the difference, then publish the
-        # finished snapshot in one reference swap.  Readers keep
-        # searching the old snapshot the whole time.
-        index = state.index.clone()
-        hashes = dict(state.hashes)
-        for name in removed:
-            index.remove(name)
-            hashes.pop(name, None)
-        # Batched backend reads: one bulk fetch for the fingerprints and
-        # one for the payloads, instead of two round-trips per name.
-        fingerprints = self.repository.get_fingerprints(to_build)
-        payloads = self.repository.schema_payloads(to_build)
-        from_fingerprints = 0
+        n_added = n_removed = from_fingerprints = skipped = 0
         to_persist: dict[str, dict] = {}
-        for name in to_build:
-            payload = payloads.get(name)
-            if payload is None:
-                # Unregistered between the name scan and the bulk fetch;
-                # the generation stamp predates that write, so the next
-                # refresh accounts for it properly.
+        for shard in pending:
+            state = shard.state
+            shard_started = time.perf_counter()
+            reg = members[shard.ordinal]
+            indexed = set(state.index.names)
+            removed = indexed - reg
+            # An indexed entry is stale when the persisted fingerprint
+            # hash no longer matches the hash this index built from:
+            # re-registering changed content drops the fingerprint (hash
+            # becomes absent), and a *sibling* index over the same
+            # repository may already have re-derived and re-persisted it
+            # (hash becomes different) -- both must rebuild here,
+            # unchanged entries are not touched at all.
+            stale = {
+                name
+                for name in indexed & reg
+                if persisted.get(name) != state.hashes.get(name)
+            }
+            to_build = sorted((reg - indexed) | stale)
+            if not removed and not to_build:
+                # Shard content untouched by this generation: re-stamp.
+                shard.state = _IndexState(
+                    state.index, state.hashes, generation, state.unreadable
+                )
+                continue
+            # Rebuild ASIDE: clone the published index (entries shared,
+            # postings copied), touch only the difference, then publish
+            # the finished snapshot in one reference swap.
+            index = state.index.clone()
+            hashes = dict(state.hashes)
+            unreadable = {
+                name: content_hash
+                for name, content_hash in state.unreadable.items()
+                if name in reg
+            }
+            for name in removed:
                 index.remove(name)
                 hashes.pop(name, None)
-                continue
-            content_hash = payload_hash(payload)
-            fingerprint = fingerprints.get(name)
-            # A fingerprint is trusted only when its format version
-            # matches and its content hash equals the hash of the stored
-            # payload -- externally edited stores fall back to
-            # re-derivation, never to silently stale postings.
-            if (
-                fingerprint is None
-                or fingerprint.get("format_version") != FINGERPRINT_FORMAT_VERSION
-                or fingerprint.get("hash") != content_hash
-            ):
-                fingerprint = build_fingerprint(payload, content_hash)
-                to_persist[name] = fingerprint
-            else:
-                from_fingerprints += 1
-            index.add_entry(name, Counter(fingerprint["terms"]))
-            hashes[name] = content_hash
+            # Batched backend reads: one bulk fetch for the fingerprints
+            # and one for the payloads, not two round-trips per name.
+            fingerprints = self.repository.get_fingerprints(to_build)
+            payloads = self.repository.schema_payloads(to_build)
+            # Hash every payload BEFORE deriving any fingerprint: SHA-256
+            # of a large buffer briefly releases the interpreter lock, and
+            # one release per derived fingerprint (every few ms) keeps the
+            # lock's forced switch from firing, starving concurrent
+            # queries for the whole refresh.
+            content_hashes = {
+                name: payload_hash(payload) for name, payload in payloads.items()
+            }
+            for name in to_build:
+                payload = payloads.get(name)
+                if payload is None:  # unregistered between scan and fetch
+                    index.remove(name)
+                    hashes.pop(name, None)
+                    continue
+                content_hash = content_hashes[name]
+                if unreadable.get(name) == content_hash:
+                    skipped += 1  # still the payload that failed to parse
+                    continue
+                unreadable.pop(name, None)
+                fingerprint = fingerprints.get(name)
+                # A fingerprint is trusted only when its format version
+                # matches and its content hash equals the hash of the
+                # stored payload -- externally edited stores fall back to
+                # re-derivation, never to silently stale postings.
+                if (
+                    fingerprint is None
+                    or fingerprint.get("format_version")
+                    != FINGERPRINT_FORMAT_VERSION
+                    or fingerprint.get("hash") != content_hash
+                ):
+                    try:
+                        schema = schema_from_dict(payload)
+                    except _UNREADABLE_PAYLOAD as exc:
+                        # Quarantine: an unreadable stored payload stays
+                        # out of the index instead of failing every query.
+                        logger.warning(
+                            "corpus index: skipping unreadable schema %r: %s",
+                            name, exc,
+                        )
+                        index.remove(name)
+                        hashes.pop(name, None)
+                        unreadable[name] = content_hash
+                        skipped += 1
+                        continue
+                    fingerprint = _schema_fingerprint(schema, content_hash)
+                    to_persist[name] = fingerprint
+                else:
+                    from_fingerprints += 1
+                index.add_entry(name, Counter(fingerprint["terms"]))
+                hashes[name] = content_hash
+                n_added += 1
+            n_removed += len(removed)
+            # Atomic publish: this shard's readers flip to the finished
+            # snapshot in one reference swap; other shards are untouched.
+            shard.state = _IndexState(index, hashes, generation, unreadable)
+            shard.n_refreshes += 1
+            shard.last_refresh_seconds = time.perf_counter() - shard_started
+
         if to_persist:
             # Chunked bulk persistence: one backend transaction per
             # PERSIST_CHUNK fingerprints, never one commit per schema.
@@ -304,32 +525,36 @@ class CorpusIndex:
                 self.repository.put_fingerprints(
                     {n: to_persist[n] for n in names[start : start + PERSIST_CHUNK]}
                 )
-        derived = len(to_persist)
-        self._state = _IndexState(index, hashes, generation)  # atomic publish
         refresh = CorpusRefresh(
-            n_indexed=len(index),
-            n_added=from_fingerprints + derived,
-            n_removed=len(removed),
+            n_indexed=self.n_indexed(),
+            n_added=n_added,
+            n_removed=n_removed,
             n_from_fingerprints=from_fingerprints,
-            n_derived=derived,
+            n_derived=len(to_persist),
             elapsed_seconds=time.perf_counter() - started,
+            n_skipped=skipped,
         )
         self.last_refresh = refresh
         return refresh
 
-    def _fresh_state(self) -> _IndexState:
-        """The published snapshot, refreshed first if the registry moved.
+    def _fresh_states(self) -> list[_IndexState]:
+        """Published per-shard snapshots, refreshed first if stale.
 
-        The reader fast path: a fresh snapshot is returned without taking
-        any lock (one clock read); only stale readers serialise on the
-        refresh lock.
+        The reader fast path: when every shard is stamped at the current
+        generation the snapshots are returned without locking (one clock
+        read) -- the common case whenever a
+        :class:`~repro.corpus.sharding.CorpusRefreshWorker` keeps the
+        shards warm.  The synchronous fallback (no worker, or a query
+        racing ahead of it) refreshes under the lock: exact semantics,
+        zero stale results.
         """
-        state = self._state
-        if state.generation == self.repository.generation:
-            return state
+        generation = self.repository.generation
+        states = [shard.state for shard in self._shards]
+        if all(state.generation == generation for state in states):
+            return states
         with self._refresh_lock:
-            self._refresh_locked(force=False)
-            return self._state
+            self._refresh_locked(force=False, only=None)
+            return [shard.state for shard in self._shards]
 
     # ------------------------------------------------------------------
     # Retrieval
@@ -342,20 +567,121 @@ class CorpusIndex:
     ) -> list[SearchHit]:
         """The ``limit`` registered schemata most likely to match ``query``.
 
-        Schema-as-query BM25 over the (freshly refreshed) inverted index;
+        Schema-as-query BM25 ("simply use one's target schema as the
+        'query term'", section 2) over the freshly refreshed shards;
         ``exclude`` drops a registered copy of the query schema itself.
-        This is the candidate-pruning stage of ``corpus_match``: everything
-        outside the returned list is never matched at all.
+        This is the candidate-pruning stage of ``corpus_match``:
+        everything outside the returned list is never matched at all.
+        Scores are bit-for-bit those of ``SchemaSearchEngine`` over one
+        index of the whole registry (see the module docstring).
         """
         if limit <= 0:
             raise ValueError(f"limit must be positive, got {limit}")
-        state = self._fresh_state()
-        engine = SchemaSearchEngine(state.index)
-        return engine.search(SchemaQuery(query), limit=limit, exclude=exclude)
+        states = self._fresh_states()
+        query_terms = SchemaQuery(query).terms()
+        return _merged_search(
+            [state.index for state in states], query_terms, limit, exclude
+        )
 
     def __len__(self) -> int:
-        return len(self._fresh_state().index)
+        return sum(len(state.index) for state in self._fresh_states())
 
     @property
     def names(self) -> list[str]:
-        return self._fresh_state().index.names
+        """Every indexed name, sorted (shard partitioning has no order)."""
+        found: list[str] = []
+        for state in self._fresh_states():
+            found.extend(state.index.names)
+        return sorted(found)
+
+
+class CorpusIndex(ShardedCorpusIndex):
+    """The unsharded corpus index: a :class:`ShardedCorpusIndex` of one shard."""
+
+    def __init__(self, repository: MetadataRepository):
+        super().__init__(repository, n_shards=1)
+
+
+def _merged_search(
+    indexes: list[SchemaIndex],
+    query_terms: Counter,
+    limit: int,
+    exclude: str | None,
+) -> list[SearchHit]:
+    """Exact BM25 top-k over disjoint shards with max-score pruning.
+
+    Global statistics are sums over shards (each document lives in
+    exactly one): document count ``n``, per-term document frequency, and
+    the exact integer total term mass for the average length -- so every
+    float this function produces equals the unsharded
+    ``SchemaSearchEngine`` value bit-for-bit.  Candidate documents are
+    gathered term-by-term in descending upper-bound order and scored
+    EXACTLY (doc-at-a-time, original query-term order); gathering stops
+    once ``limit`` exact scores exist and the remaining terms' bound sum
+    cannot beat the k-th best (every real contribution is strictly below
+    its bound, so no skipped document can reach, let alone beat, that
+    score -- ties included).
+    """
+    n = sum(len(index) for index in indexes)
+    if n == 0:
+        return []
+    total_terms = sum(index.total_terms() for index in indexes)
+    average_length = (total_terms / n) or 1.0
+
+    # Per-term global idf and score upper bound, original order kept for
+    # the exact per-document summation.
+    ordered: list[tuple[str, int]] = []   # (term, query_count), dict order
+    idf: dict[str, float] = {}
+    bound: dict[str, float] = {}
+    for term, query_count in query_terms.items():
+        ordered.append((term, query_count))
+        df = sum(index.document_frequency(term) for index in indexes)
+        if df == 0:
+            continue
+        value = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        idf[term] = value
+        bound[term] = value * (_K1 + 1) * min(query_count, 3)
+
+    def exact_score(document: Counter, doc_length: int) -> float:
+        # Mirror SchemaSearchEngine._bm25 verbatim: same expressions,
+        # same accumulation order -> identical floats.
+        score = 0.0
+        for term, query_count in ordered:
+            term_frequency = document.get(term, 0)
+            if term_frequency == 0:
+                continue
+            numerator = term_frequency * (_K1 + 1)
+            denominator = term_frequency + _K1 * (
+                1 - _B + _B * doc_length / average_length
+            )
+            score += idf[term] * numerator / denominator * min(query_count, 3)
+        return score
+
+    by_bound = sorted(bound, key=lambda term: (-bound[term], term))
+    # suffix[i] = sum of bounds from position i on (the best any document
+    # first reachable at position i could possibly score).
+    suffix = [0.0] * (len(by_bound) + 1)
+    for position in range(len(by_bound) - 1, -1, -1):
+        suffix[position] = suffix[position + 1] + bound[by_bound[position]]
+
+    heap: list[float] = []  # min-heap over the top-`limit` exact scores
+    hits: list[SearchHit] = []
+    seen: set[str] = set()
+    for position, term in enumerate(by_bound):
+        if len(heap) == limit and suffix[position] <= heap[0]:
+            break  # nothing unseen can beat the current k-th score
+        for index in indexes:
+            for name in index.posting(term):
+                if name == exclude or name in seen:
+                    continue
+                seen.add(name)
+                entry = index.entry(name)
+                score = exact_score(entry.terms, entry.n_terms)
+                if score > 0:
+                    hits.append(SearchHit(schema_name=name, score=score))
+                    if len(heap) < limit:
+                        heapq.heappush(heap, score)
+                    elif score > heap[0]:
+                        heapq.heapreplace(heap, score)
+    hits.sort(key=lambda hit: (-hit.score, hit.schema_name))
+    return hits[:limit]

@@ -1,45 +1,19 @@
-"""Sharded corpus retrieval: partitioned indexes + background refresh.
+"""Background refresh for the corpus index, and the sharded-index names.
 
-The corpus tier between storage and serving.  :class:`~repro.corpus.index.
-CorpusIndex` keeps every registered schema in ONE inverted index, so one
-registration makes the whole structure stale and one refresh touches the
-whole corpus' bookkeeping.  At the paper's registry scale ("hundreds to
-thousands of schemata", pushed to tens of thousands by the roadmap) the
-maintenance unit has to shrink; this module splits the index into N
-*shards* and keeps retrieval exact:
+:class:`CorpusRefreshWorker` is a daemon thread watching the repository's
+generation clock and refreshing stale shards of a
+:class:`~repro.corpus.index.ShardedCorpusIndex` off the request path.
+Each shard publishes its rebuilt state as one reference swap, so a query
+never blocks on a refresh in progress: a reader whose shards are fresh
+searches the published snapshots lock-free, and the pre-scan
+generation-stamp ordering keeps mid-refresh registrations safe (the shard
+stays stamped stale and is caught next cycle).  Without a worker, queries
+fall back to synchronous incremental refresh -- zero stale results either
+way.
 
-* **Sharded index** -- :class:`ShardedCorpusIndex` partitions fingerprints
-  across shards by hash range (:func:`shard_of_name` maps the 32-bit
-  prefix of the name's SHA-256 onto ``n_shards`` contiguous ranges; a
-  domain-aware ``shard_assign`` callable may override).  Every schema
-  lives in exactly ONE shard, so global corpus statistics (document
-  count, document frequency, total term mass) are plain sums over
-  shards -- which is what lets per-shard retrieval merge into top-k
-  results whose BM25 scores are *identical* to the unsharded engine's
-  (bit-for-bit: same arithmetic, same term order, same tie-breaks; bench
-  E21 asserts 1e-9).
-* **Pruned exact scoring** -- the merged scorer processes query terms in
-  descending score-upper-bound order (``idf * (k1+1) * min(qc, 3)`` --
-  every BM25 contribution is strictly below its bound because the tf
-  saturation ``tf/(tf + k1*norm)`` is strictly below 1).  Once ``limit``
-  candidates hold exact scores and the remaining terms' bound sum cannot
-  beat the current k-th score, the long tail of low-idf postings is
-  never visited.  Documents that ARE scored get the exact
-  doc-at-a-time sum in original query-term order, so pruning changes
-  which documents are *visited*, never any returned score.
-* **Background refresh** -- :class:`CorpusRefreshWorker` is a daemon
-  thread watching the repository's generation clock and refreshing stale
-  shards off the request path.  Each shard publishes its rebuilt state
-  as one reference swap (the :class:`~repro.network.graph.MappingGraph`
-  pattern), so a query never blocks on a refresh in progress: a reader
-  whose shards are fresh searches the published snapshots lock-free, and
-  the pre-scan generation-stamp ordering inherited from ``CorpusIndex``
-  keeps mid-refresh registrations safe (the shard stays stamped stale
-  and is caught next cycle).  Without a worker, queries fall back to
-  synchronous incremental refresh -- exactly the ``CorpusIndex``
-  semantics, zero stale results either way.
-
-``MatchService(corpus_shards=N)`` serves over this index;
+The index itself -- hash-range shards, exact merged BM25, the refresh
+body -- lives in :mod:`repro.corpus.index`; :class:`ShardedCorpusIndex`,
+:class:`ShardStats` and :func:`shard_of_name` are re-exported here.
 ``repro serve --refresh-interval`` runs the worker; ``/healthz`` and
 ``/metrics`` surface :meth:`ShardedCorpusIndex.shard_stats` and
 :meth:`CorpusRefreshWorker.stats`.  See ``docs/repository.md`` and
@@ -48,28 +22,10 @@ maintenance unit has to shrink; this module splits the index into N
 
 from __future__ import annotations
 
-import hashlib
-import heapq
-import math
 import threading
-import time
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
 
-from repro.corpus.index import (
-    FINGERPRINT_FORMAT_VERSION,
-    PERSIST_CHUNK,
-    CorpusRefresh,
-    _IndexState,
-    build_fingerprint,
-    payload_hash,
-)
-from repro.repository.store import MetadataRepository
-from repro.schema.schema import Schema
-from repro.search.index import SchemaIndex
-from repro.search.query import SchemaQuery
-from repro.search.rank import SearchHit
+from repro.corpus.index import ShardedCorpusIndex, ShardStats, shard_of_name
 
 __all__ = [
     "shard_of_name",
@@ -78,59 +34,6 @@ __all__ = [
     "ShardedCorpusIndex",
     "CorpusRefreshWorker",
 ]
-
-#: Must mirror ``SchemaSearchEngine``'s defaults: the merged scorer
-#: replicates its arithmetic exactly, so the constants must be the same
-#: objects conceptually (exactness is asserted by tests and bench E21).
-_K1 = 1.5
-_B = 0.75
-
-
-def shard_of_name(name: str, n_shards: int) -> int:
-    """Hash-range shard assignment: stable, uniform, order-free.
-
-    The first 32 bits of SHA-256 over the schema name, mapped onto
-    ``n_shards`` contiguous ranges (``prefix * n_shards >> 32``).  Keyed
-    on the *name* -- the stable identity fingerprints are stored under --
-    so re-registering changed content never migrates a schema between
-    shards; only register/unregister moves shard membership.
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    prefix = int.from_bytes(
-        hashlib.sha256(name.encode("utf-8")).digest()[:4], "big"
-    )
-    return (prefix * n_shards) >> 32
-
-
-@dataclass(frozen=True)
-class ShardStats:
-    """Published state of one shard (a monitoring read, never a refresh)."""
-
-    shard: int                    # shard ordinal, 0-based
-    n_indexed: int                # entries in the published snapshot
-    built_generation: int | None  # stamp of the published snapshot
-    n_refreshes: int              # rebuilds that actually touched entries
-    last_refresh_seconds: float   # wall time of the last rebuild
-
-    def to_dict(self) -> dict:
-        return {
-            "shard": self.shard,
-            "n_indexed": self.n_indexed,
-            "built_generation": self.built_generation,
-            "n_refreshes": self.n_refreshes,
-            "last_refresh_seconds": self.last_refresh_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ShardStats":
-        return cls(
-            shard=payload["shard"],
-            n_indexed=payload["n_indexed"],
-            built_generation=payload["built_generation"],
-            n_refreshes=payload["n_refreshes"],
-            last_refresh_seconds=payload["last_refresh_seconds"],
-        )
 
 
 @dataclass(frozen=True)
@@ -167,379 +70,6 @@ class RefreshWorkerStats:
             last_refresh_seconds=payload["last_refresh_seconds"],
             last_error=payload["last_error"],
         )
-
-
-class _Shard:
-    """One partition: a published snapshot plus refresh counters."""
-
-    __slots__ = ("ordinal", "state", "n_refreshes", "last_refresh_seconds")
-
-    def __init__(self, ordinal: int):
-        self.ordinal = ordinal
-        self.state = _IndexState(SchemaIndex(), {}, None)
-        self.n_refreshes = 0
-        self.last_refresh_seconds = 0.0
-
-    def stats(self) -> ShardStats:
-        state = self.state
-        return ShardStats(
-            shard=self.ordinal,
-            n_indexed=len(state.index),
-            built_generation=state.generation,
-            n_refreshes=self.n_refreshes,
-            last_refresh_seconds=self.last_refresh_seconds,
-        )
-
-
-class ShardedCorpusIndex:
-    """N hash-range partitions of the corpus index, merged exactly.
-
-    A drop-in for :class:`~repro.corpus.index.CorpusIndex` wherever the
-    retrieval surface (``top_candidates`` / ``refresh`` / ``is_stale`` /
-    ``len`` / ``names``) is used: ``MatchService(corpus_shards=N)`` binds
-    one under ``corpus_match`` unchanged.
-
-    Parameters
-    ----------
-    repository:
-        The :class:`MetadataRepository` to index.
-    n_shards:
-        Partition count.  ``1`` degenerates to an unsharded index (still
-        with the pruned scorer).
-    shard_assign:
-        Optional domain-aware override: a callable mapping a schema name
-        to a shard ordinal in ``[0, n_shards)``.  Keeping one enterprise
-        domain in one shard makes a domain-scoped ingest invalidate one
-        shard instead of all of them.  Must be stable per name; values
-        outside the range raise ``ValueError`` at refresh time.
-    """
-
-    def __init__(
-        self,
-        repository: MetadataRepository,
-        n_shards: int = 8,
-        shard_assign: Callable[[str], int] | None = None,
-    ):
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        self.repository = repository
-        self.n_shards = n_shards
-        self._shard_assign = shard_assign
-        self._shards = [_Shard(ordinal) for ordinal in range(n_shards)]
-        #: Stable name -> shard memo (assignment hashes once per name,
-        #: not once per refresh scan).
-        self._assigned: dict[str, int] = {}
-        #: Serialises refreshers (never readers); shards publish by
-        #: reference swap, one at a time, as they finish.
-        self._refresh_lock = threading.Lock()
-        self.last_refresh: CorpusRefresh | None = None
-
-    # ------------------------------------------------------------------
-    # Shard assignment
-    # ------------------------------------------------------------------
-    def shard_of(self, name: str) -> int:
-        """The shard ordinal a schema name lives in."""
-        shard = self._assigned.get(name)
-        if shard is None:
-            if self._shard_assign is not None:
-                shard = int(self._shard_assign(name))
-                if not 0 <= shard < self.n_shards:
-                    raise ValueError(
-                        f"shard_assign({name!r}) returned {shard}, outside"
-                        f" [0, {self.n_shards})"
-                    )
-            else:
-                shard = shard_of_name(name, self.n_shards)
-            self._assigned[name] = shard
-        return shard
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def is_stale(self) -> bool:
-        """Whether any shard predates the repository's generation clock."""
-        generation = self.repository.generation
-        return any(shard.state.generation != generation for shard in self._shards)
-
-    def stale_shards(self) -> list[int]:
-        """Ordinals of shards whose stamp predates the current clock."""
-        generation = self.repository.generation
-        return [
-            shard.ordinal
-            for shard in self._shards
-            if shard.state.generation != generation
-        ]
-
-    def n_indexed(self) -> int:
-        """Entries across published snapshots, WITHOUT refreshing first."""
-        return sum(len(shard.state.index) for shard in self._shards)
-
-    def shard_stats(self) -> list[ShardStats]:
-        """Per-shard published stats (monitoring read; never refreshes)."""
-        return [shard.stats() for shard in self._shards]
-
-    def refresh(self, force: bool = False) -> CorpusRefresh:
-        """Bring every shard in sync with the repository.
-
-        One registry scan (names + fingerprint hashes) shared by all
-        shards; each stale shard is then diffed and rebuilt aside --
-        unchanged shards are merely re-stamped, unchanged entries inside
-        a changed shard are not re-read at all.  Readers are never
-        blocked: they keep searching the published snapshots until each
-        shard's finished replacement is swapped in.
-        """
-        with self._refresh_lock:
-            return self._refresh_locked(force, only=None)
-
-    def refresh_shard(self, shard: int, force: bool = False) -> CorpusRefresh:
-        """Refresh ONE shard (the others keep their published state)."""
-        if not 0 <= shard < self.n_shards:
-            raise ValueError(f"shard must be in [0, {self.n_shards}), got {shard}")
-        with self._refresh_lock:
-            return self._refresh_locked(force, only=shard)
-
-    def _refresh_locked(self, force: bool, only: int | None) -> CorpusRefresh:
-        started = time.perf_counter()
-        # Pre-scan clock capture, as in CorpusIndex._refresh_locked: a
-        # register landing mid-refresh leaves its shard stamped at the
-        # older generation, so the next cycle catches it (over-refresh is
-        # safe; stamping the post-refresh clock would lose it forever).
-        generation = self.repository.generation
-        targets = (
-            self._shards if only is None else [self._shards[only]]
-        )
-        pending = [
-            shard
-            for shard in targets
-            if force or shard.state.generation != generation
-        ]
-        if not pending:
-            refresh = CorpusRefresh(
-                n_indexed=self.n_indexed(),
-                n_added=0,
-                n_removed=0,
-                n_from_fingerprints=0,
-                n_derived=0,
-                elapsed_seconds=time.perf_counter() - started,
-            )
-            self.last_refresh = refresh
-            return refresh
-
-        # ONE registry scan for every pending shard.
-        registered = set(self.repository.schema_names())
-        persisted = self.repository.fingerprint_hashes()
-        members: list[set[str]] = [set() for _ in range(self.n_shards)]
-        for name in registered:
-            members[self.shard_of(name)].add(name)
-
-        n_added = n_removed = from_fingerprints = derived = 0
-        to_persist: dict[str, dict] = {}
-        for shard in pending:
-            state = shard.state
-            shard_started = time.perf_counter()
-            reg = members[shard.ordinal]
-            indexed = set(state.index.names)
-            removed = indexed - reg
-            stale = {
-                name
-                for name in indexed & reg
-                if persisted.get(name) != state.hashes.get(name)
-            }
-            to_build = sorted((reg - indexed) | stale)
-            if not removed and not to_build:
-                # Shard content untouched by this generation: re-stamp.
-                shard.state = _IndexState(state.index, state.hashes, generation)
-                continue
-            index = state.index.clone()
-            hashes = dict(state.hashes)
-            for name in removed:
-                index.remove(name)
-                hashes.pop(name, None)
-            fingerprints = self.repository.get_fingerprints(to_build)
-            payloads = self.repository.schema_payloads(to_build)
-            for name in to_build:
-                payload = payloads.get(name)
-                if payload is None:  # unregistered between scan and fetch
-                    index.remove(name)
-                    hashes.pop(name, None)
-                    continue
-                content_hash = payload_hash(payload)
-                fingerprint = fingerprints.get(name)
-                if (
-                    fingerprint is None
-                    or fingerprint.get("format_version")
-                    != FINGERPRINT_FORMAT_VERSION
-                    or fingerprint.get("hash") != content_hash
-                ):
-                    fingerprint = build_fingerprint(payload, content_hash)
-                    to_persist[name] = fingerprint
-                    derived += 1
-                else:
-                    from_fingerprints += 1
-                index.add_entry(name, Counter(fingerprint["terms"]))
-                hashes[name] = content_hash
-                n_added += 1
-            n_removed += len(removed)
-            # Atomic publish: this shard's readers flip to the finished
-            # snapshot in one reference swap; other shards are untouched.
-            shard.state = _IndexState(index, hashes, generation)
-            shard.n_refreshes += 1
-            shard.last_refresh_seconds = time.perf_counter() - shard_started
-
-        if to_persist:
-            names = list(to_persist)
-            for start in range(0, len(names), PERSIST_CHUNK):
-                self.repository.put_fingerprints(
-                    {n: to_persist[n] for n in names[start : start + PERSIST_CHUNK]}
-                )
-        refresh = CorpusRefresh(
-            n_indexed=self.n_indexed(),
-            n_added=n_added,
-            n_removed=n_removed,
-            n_from_fingerprints=from_fingerprints,
-            n_derived=derived,
-            elapsed_seconds=time.perf_counter() - started,
-        )
-        self.last_refresh = refresh
-        return refresh
-
-    def _fresh_states(self) -> list[_IndexState]:
-        """Published per-shard snapshots, refreshed first if stale.
-
-        The reader fast path: when every shard is stamped at the current
-        generation the snapshots are returned without locking -- which is
-        the common case whenever a :class:`CorpusRefreshWorker` keeps the
-        shards warm.  The synchronous fallback (no worker, or a query
-        racing ahead of it) refreshes under the lock: exact semantics,
-        zero stale results, identical to ``CorpusIndex``.
-        """
-        generation = self.repository.generation
-        states = [shard.state for shard in self._shards]
-        if all(state.generation == generation for state in states):
-            return states
-        with self._refresh_lock:
-            self._refresh_locked(force=False, only=None)
-            return [shard.state for shard in self._shards]
-
-    # ------------------------------------------------------------------
-    # Retrieval
-    # ------------------------------------------------------------------
-    def top_candidates(
-        self,
-        query: Schema,
-        limit: int = 10,
-        exclude: str | None = None,
-    ) -> list[SearchHit]:
-        """Merged top-k retrieval, exact to the unsharded engine.
-
-        Same contract as :meth:`CorpusIndex.top_candidates`; scores are
-        bit-for-bit those of ``SchemaSearchEngine`` over one big index
-        (see the module docstring for why global statistics make that
-        possible and how the bound-ordered scorer prunes).
-        """
-        if limit <= 0:
-            raise ValueError(f"limit must be positive, got {limit}")
-        states = self._fresh_states()
-        query_terms = SchemaQuery(query).terms()
-        return _merged_search(
-            [state.index for state in states], query_terms, limit, exclude
-        )
-
-    def __len__(self) -> int:
-        return sum(len(state.index) for state in self._fresh_states())
-
-    @property
-    def names(self) -> list[str]:
-        """Every indexed name, sorted (shard partitioning has no order)."""
-        found: list[str] = []
-        for state in self._fresh_states():
-            found.extend(state.index.names)
-        return sorted(found)
-
-
-def _merged_search(
-    indexes: list[SchemaIndex],
-    query_terms: Counter,
-    limit: int,
-    exclude: str | None,
-) -> list[SearchHit]:
-    """Exact BM25 top-k over disjoint shards with max-score pruning.
-
-    Global statistics are sums over shards (each document lives in
-    exactly one): document count ``n``, per-term document frequency, and
-    the exact integer total term mass for the average length -- so every
-    float this function produces equals the unsharded
-    ``SchemaSearchEngine`` value bit-for-bit.  Candidate documents are
-    gathered term-by-term in descending upper-bound order and scored
-    EXACTLY (doc-at-a-time, original query-term order); gathering stops
-    once ``limit`` exact scores exist and the remaining terms' bound sum
-    cannot beat the k-th best (every real contribution is strictly below
-    its bound, so no skipped document can reach, let alone beat, that
-    score -- ties included).
-    """
-    n = sum(len(index) for index in indexes)
-    if n == 0:
-        return []
-    total_terms = sum(index.total_terms() for index in indexes)
-    average_length = (total_terms / n) or 1.0
-
-    # Per-term global idf and score upper bound, original order kept for
-    # the exact per-document summation.
-    ordered: list[tuple[str, int]] = []   # (term, query_count), dict order
-    idf: dict[str, float] = {}
-    bound: dict[str, float] = {}
-    for term, query_count in query_terms.items():
-        ordered.append((term, query_count))
-        df = sum(index.document_frequency(term) for index in indexes)
-        if df == 0:
-            continue
-        value = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        idf[term] = value
-        bound[term] = value * (_K1 + 1) * min(query_count, 3)
-
-    def exact_score(document: Counter, doc_length: int) -> float:
-        # Mirror SchemaSearchEngine._bm25 verbatim: same expressions,
-        # same accumulation order -> identical floats.
-        score = 0.0
-        for term, query_count in ordered:
-            term_frequency = document.get(term, 0)
-            if term_frequency == 0:
-                continue
-            numerator = term_frequency * (_K1 + 1)
-            denominator = term_frequency + _K1 * (
-                1 - _B + _B * doc_length / average_length
-            )
-            score += idf[term] * numerator / denominator * min(query_count, 3)
-        return score
-
-    by_bound = sorted(bound, key=lambda term: (-bound[term], term))
-    # suffix[i] = sum of bounds from position i on (the best any document
-    # first reachable at position i could possibly score).
-    suffix = [0.0] * (len(by_bound) + 1)
-    for position in range(len(by_bound) - 1, -1, -1):
-        suffix[position] = suffix[position + 1] + bound[by_bound[position]]
-
-    heap: list[float] = []  # min-heap over the top-`limit` exact scores
-    hits: list[SearchHit] = []
-    seen: set[str] = set()
-    for position, term in enumerate(by_bound):
-        if len(heap) == limit and suffix[position] <= heap[0]:
-            break  # nothing unseen can beat the current k-th score
-        for index in indexes:
-            for name in index.posting(term):
-                if name == exclude or name in seen:
-                    continue
-                seen.add(name)
-                entry = index.entry(name)
-                score = exact_score(entry.terms, entry.n_terms)
-                if score > 0:
-                    hits.append(SearchHit(schema_name=name, score=score))
-                    if len(heap) < limit:
-                        heapq.heappush(heap, score)
-                    elif score > heap[0]:
-                        heapq.heapreplace(heap, score)
-    hits.sort(key=lambda hit: (-hit.score, hit.schema_name))
-    return hits[:limit]
 
 
 class CorpusRefreshWorker:

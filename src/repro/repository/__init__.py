@@ -4,7 +4,6 @@ from repro.repository.backends import (
     InMemoryBackend,
     PooledSqliteBackend,
     PoolStats,
-    SqliteBackend,
     StorageBackend,
     open_backend,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "ProvenanceRecord",
     "ReuseOutcome",
     "ReusePolicy",
-    "SqliteBackend",
     "StorageBackend",
     "StoredMatch",
     "TrustPolicy",

@@ -7,20 +7,16 @@ and ``tests/test_backend_contract.py`` runs every method of every backend
 against the same expectations, so a backend that passes the suite is a
 drop-in.
 
-Three implementations ship:
+Two implementations ship:
 
 * :class:`InMemoryBackend` -- dicts and lists, the ephemeral default;
-* :class:`SqliteBackend` -- the legacy single-connection store: one
-  ``check_same_thread=False`` connection shared by every caller, which is
-  safe *only because* the backend declares ``serialize_calls = True`` and
-  the repository serialises every call under its lock;
-* :class:`PooledSqliteBackend` -- WAL-mode SQLite behind a bounded
-  connection pool: ``serialize_calls = False``, so concurrent reader
-  threads each borrow their own connection (readers never block readers
-  or the writer under WAL), writes run as ``BEGIN IMMEDIATE``
-  transactions with a busy timeout, and N worker *processes* can share
-  one database file -- the backend the process-pool serving tier
-  (``repro serve --workers``) opens in every worker.
+* :class:`PooledSqliteBackend` -- the one file backend: WAL-mode SQLite
+  behind a bounded connection pool.  ``serialize_calls = False``, so
+  concurrent reader threads each borrow their own connection (readers
+  never block readers or the writer under WAL), writes run as ``BEGIN
+  IMMEDIATE`` transactions with a busy timeout, and N worker *processes*
+  can share one database file -- the threaded server, every process-pool
+  worker (``repro serve --workers``) and ``repro ingest`` all open it.
 
 **Clocks are a backend concern.**  The ``generation`` /
 ``match_generation`` staleness clocks (and the provenance ``sequence``
@@ -58,7 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports us)
 __all__ = [
     "StorageBackend",
     "InMemoryBackend",
-    "SqliteBackend",
     "PooledSqliteBackend",
     "PoolStats",
     "open_backend",
@@ -75,9 +70,8 @@ class StorageBackend(Protocol):
     * ``serialize_calls`` declares the backend's threading discipline:
       ``True`` means the backend is NOT safe under concurrent calls and
       the repository must serialise every call under its lock (the
-      in-memory dicts; the legacy shared SQLite connection).  ``False``
-      means calls may run concurrently (the pooled backend hands every
-      caller its own connection).
+      in-memory dicts).  ``False`` means calls may run concurrently (the
+      pooled backend hands every caller its own connection).
     * ``clocks()`` returns the ``(generation, match_generation)`` pair.
       Mutators own the bumps: ``put_schema`` bumps ``generation``;
       ``delete_schema`` bumps both (its cascade may remove matches);
@@ -310,7 +304,7 @@ class InMemoryBackend:
 
 
 # ----------------------------------------------------------------------
-# Shared SQLite plumbing (schema, migrations, row codecs)
+# SQLite plumbing (schema, migrations, row codecs)
 # ----------------------------------------------------------------------
 _INSERT_MATCH = (
     "INSERT INTO matches (source_schema, target_schema, source_element,"
@@ -342,9 +336,8 @@ def _chunked(names: Sequence[str], size: int = _IN_CHUNK):
 def _ensure_sqlite_schema(connection: sqlite3.Connection) -> None:
     """Create/migrate the on-disk layout; idempotent on every open.
 
-    Both SQLite backends share one file format, so a store written by the
-    legacy backend opens under the pooled backend unchanged (and vice
-    versa) -- the backends differ in connection discipline, not layout.
+    Files written before the pooled backend (rollback journal, older
+    table sets) migrate in place on first open.
     """
     with connection:
         connection.execute(
@@ -472,288 +465,6 @@ def _stored(row: tuple) -> "StoredMatch":
     )
 
 
-class _SqliteQueries:
-    """The SQL shared by both SQLite backends.
-
-    Subclasses provide the connection discipline: ``_read(sql, params)``
-    and ``_write(statements)`` (a list of ``(sql, params)`` executed as
-    ONE transaction, committed atomically or not at all).
-    """
-
-    def _read(self, sql: str, params: tuple = ()) -> list[tuple]:
-        raise NotImplementedError
-
-    def _write(self, statements: list[tuple]) -> None:
-        raise NotImplementedError
-
-    # -- clocks and sequence -------------------------------------------
-    def clocks(self) -> tuple[int, int]:
-        values = dict(self._read("SELECT name, value FROM repo_clocks"))
-        return (values["generation"], values["match_generation"])
-
-    # -- schemata -------------------------------------------------------
-    def put_schema(self, name: str, payload: dict) -> None:
-        self._write([
-            (
-                "INSERT OR REPLACE INTO schemata (name, payload) VALUES (?, ?)",
-                (name, json.dumps(payload)),
-            ),
-            (_BUMP_CLOCK, (1, "generation")),
-        ])
-
-    def get_schema(self, name: str) -> dict | None:
-        rows = self._read("SELECT payload FROM schemata WHERE name = ?", (name,))
-        if not rows:
-            return None
-        return json.loads(rows[0][0])
-
-    def get_schemas(self, names: Sequence[str]) -> dict[str, dict]:
-        found: dict[str, dict] = {}
-        for chunk in _chunked(names):
-            marks = ",".join("?" * len(chunk))
-            rows = self._read(
-                f"SELECT name, payload FROM schemata WHERE name IN ({marks})",
-                tuple(chunk),
-            )
-            found.update((row[0], json.loads(row[1])) for row in rows)
-        return found
-
-    def put_schemas(
-        self,
-        payloads: dict[str, dict],
-        fingerprints: dict[str, dict] | None = None,
-    ) -> None:
-        """Bulk upsert as ONE transaction: every payload, every provided
-        fingerprint, every stale-fingerprint drop, and one generation bump
-        of ``len(payloads)`` commit together or not at all."""
-        if not payloads:
-            return
-        fingerprints = fingerprints or {}
-        statements: list[tuple] = []
-        for name, payload in payloads.items():
-            statements.append((
-                "INSERT OR REPLACE INTO schemata (name, payload) VALUES (?, ?)",
-                (name, json.dumps(payload)),
-            ))
-            fingerprint = fingerprints.get(name)
-            if fingerprint is None:
-                statements.append((
-                    "DELETE FROM corpus_fingerprints WHERE name = ?", (name,)
-                ))
-            else:
-                statements.append((
-                    "INSERT OR REPLACE INTO corpus_fingerprints (name, payload)"
-                    " VALUES (?, ?)",
-                    (name, json.dumps(fingerprint)),
-                ))
-        statements.append((_BUMP_CLOCK, (len(payloads), "generation")))
-        self._write(statements)
-
-    def schema_names(self) -> list[str]:
-        return [row[0] for row in self._read("SELECT name FROM schemata ORDER BY name")]
-
-    def delete_schema(self, name: str) -> None:
-        self._write([
-            ("DELETE FROM schemata WHERE name = ?", (name,)),
-            ("DELETE FROM corpus_fingerprints WHERE name = ?", (name,)),
-            (
-                "DELETE FROM matches WHERE source_schema = ? OR target_schema = ?",
-                (name, name),
-            ),
-            (_BUMP_CLOCK, (1, "generation")),
-            # The cascade may have deleted match rows; derived match
-            # structures (the mapping graph) must notice even when no
-            # match survived.
-            (_BUMP_CLOCK, (1, "match_generation")),
-        ])
-
-    # -- matches --------------------------------------------------------
-    def add_matches(self, matches: Sequence["StoredMatch"]) -> None:
-        """Bulk insert as ONE transaction: all rows (and the clock bump)
-        commit together, or nothing does."""
-        rows = [_match_row(match) for match in matches]
-        if not rows:
-            return
-        self._write(
-            [(_INSERT_MATCH, row) for row in rows]
-            + [(_BUMP_CLOCK, (1, "match_generation"))]
-        )
-
-    def all_matches(self) -> list["StoredMatch"]:
-        return [_stored(row) for row in self._read(_SELECT_MATCHES + " ORDER BY id")]
-
-    def matches_touching(self, schema_name: str) -> list["StoredMatch"]:
-        rows = self._read(
-            _SELECT_MATCHES
-            + " WHERE source_schema = ? OR target_schema = ? ORDER BY id",
-            (schema_name, schema_name),
-        )
-        return [_stored(row) for row in rows]
-
-    def matches_between(self, first: str, second: str) -> list["StoredMatch"]:
-        rows = self._read(
-            _SELECT_MATCHES
-            + " WHERE (source_schema = ? AND target_schema = ?)"
-            "    OR (source_schema = ? AND target_schema = ?) ORDER BY id",
-            (first, second, second, first),
-        )
-        return [_stored(row) for row in rows]
-
-    # -- corpus fingerprints -------------------------------------------
-    def put_fingerprint(self, name: str, payload: dict) -> None:
-        self._write([
-            (
-                "INSERT OR REPLACE INTO corpus_fingerprints (name, payload)"
-                " VALUES (?, ?)",
-                (name, json.dumps(payload)),
-            )
-        ])
-
-    def put_fingerprints(self, payloads: dict[str, dict]) -> None:
-        """Bulk write as ONE transaction (a cold index build is N schemata)."""
-        self._write([
-            (
-                "INSERT OR REPLACE INTO corpus_fingerprints (name, payload)"
-                " VALUES (?, ?)",
-                (name, json.dumps(payload)),
-            )
-            for name, payload in payloads.items()
-        ])
-
-    def get_fingerprint(self, name: str) -> dict | None:
-        rows = self._read(
-            "SELECT payload FROM corpus_fingerprints WHERE name = ?", (name,)
-        )
-        if not rows:
-            return None
-        return json.loads(rows[0][0])
-
-    def get_fingerprints(self, names: Sequence[str]) -> dict[str, dict]:
-        """Bulk fingerprint read (one IN-clause query per 500 names).
-
-        The corpus index's refresh path: rebuilding K entries costs
-        ``ceil(K / 500)`` queries, not K round-trips.
-        """
-        found: dict[str, dict] = {}
-        for chunk in _chunked(names):
-            marks = ",".join("?" * len(chunk))
-            rows = self._read(
-                f"SELECT name, payload FROM corpus_fingerprints"
-                f" WHERE name IN ({marks})",
-                tuple(chunk),
-            )
-            found.update((row[0], json.loads(row[1])) for row in rows)
-        return found
-
-    def fingerprint_names(self) -> list[str]:
-        return [
-            row[0]
-            for row in self._read("SELECT name FROM corpus_fingerprints ORDER BY name")
-        ]
-
-    def fingerprint_hashes(self) -> dict[str, str]:
-        """name -> content hash for every fingerprint, in one query.
-
-        The staleness probe of the corpus index; json_extract keeps it to
-        one small row per schema instead of parsing whole term bags (with
-        a Python-side fallback for SQLite builds without the JSON
-        functions).
-        """
-        try:
-            rows = self._read(
-                "SELECT name, json_extract(payload, '$.hash')"
-                " FROM corpus_fingerprints"
-            )
-            return {row[0]: row[1] or "" for row in rows}
-        except sqlite3.OperationalError:  # pragma: no cover - exotic builds
-            rows = self._read("SELECT name, payload FROM corpus_fingerprints")
-            return {row[0]: json.loads(row[1]).get("hash", "") for row in rows}
-
-    def delete_fingerprint(self, name: str) -> None:
-        self._write([
-            ("DELETE FROM corpus_fingerprints WHERE name = ?", (name,))
-        ])
-
-    # -- request statistics (cache warming) ----------------------------
-    def record_requests(
-        self, records: Sequence[tuple[str, str, dict, int]]
-    ) -> None:
-        """Bulk upsert of request-hash counters as ONE transaction.
-
-        The serving tier flushes these in amortised batches off the hot
-        path; an existing key's count grows, its endpoint/payload refresh.
-        """
-        batch = list(records)
-        if not batch:
-            return
-        self._write([
-            (
-                "INSERT INTO request_stats (key, endpoint, payload, count)"
-                " VALUES (?, ?, ?, ?)"
-                " ON CONFLICT(key) DO UPDATE SET"
-                " endpoint = excluded.endpoint, payload = excluded.payload,"
-                " count = count + excluded.count",
-                (key, endpoint, json.dumps(payload), count),
-            )
-            for key, endpoint, payload, count in batch
-        ])
-
-    def hot_requests(self, limit: int) -> list[tuple[str, str, dict, int]]:
-        rows = self._read(
-            "SELECT key, endpoint, payload, count FROM request_stats"
-            " ORDER BY count DESC, key LIMIT ?",
-            (limit,),
-        )
-        return [
-            (row[0], row[1], json.loads(row[2]), row[3]) for row in rows
-        ]
-
-
-class SqliteBackend(_SqliteQueries):
-    """The legacy single-connection store: one file, one connection.
-
-    The connection is opened ``check_same_thread=False`` -- that is THIS
-    backend's threading decision, declared through
-    ``serialize_calls = True``: the one connection may move between
-    threads, but never concurrently, because the repository serialises
-    every call under its lock.  For per-thread connections and
-    concurrent readers, use :class:`PooledSqliteBackend` instead.
-    """
-
-    serialize_calls = True
-
-    def __init__(self, path: str):
-        self.path = path
-        self._connection = sqlite3.connect(path, check_same_thread=False)
-        _ensure_sqlite_schema(self._connection)
-
-    def _read(self, sql: str, params: tuple = ()) -> list[tuple]:
-        return self._connection.execute(sql, params).fetchall()
-
-    def _write(self, statements: list[tuple]) -> None:
-        # ``with connection`` = one transaction: commit on success,
-        # rollback (nothing stored, no clock moved) on any error.
-        with self._connection:
-            for sql, params in statements:
-                self._connection.execute(sql, params)
-
-    def next_sequences(self, count: int) -> int:
-        if count <= 0:
-            raise ValueError(f"count must be positive, got {count}")
-        with self._connection:
-            self._connection.execute(_BUMP_CLOCK, (count, "sequence"))
-            (value,) = self._connection.execute(
-                "SELECT value FROM repo_clocks WHERE name = 'sequence'"
-            ).fetchone()
-        return value - count + 1
-
-    def describe(self) -> dict:
-        return {"kind": "sqlite", "path": self.path}
-
-    def close(self) -> None:
-        self._connection.close()
-
-
 @dataclass(frozen=True)
 class PoolStats:
     """Counters one :class:`PooledSqliteBackend` connection pool has seen."""
@@ -776,7 +487,7 @@ class PoolStats:
         }
 
 
-class PooledSqliteBackend(_SqliteQueries):
+class PooledSqliteBackend:
     """WAL-mode SQLite behind a bounded connection pool.
 
     The PgBouncer shape one tier down: many callers, a small fixed set of
@@ -882,6 +593,21 @@ class PooledSqliteBackend(_SqliteQueries):
         finally:
             self._release(connection)
 
+    def _read_json(self, sql: str, params: tuple = ()):
+        """Run a one-row ``json_group_array``/``json_group_object`` query
+        and return the parsed aggregate.
+
+        The multi-row reads go through here, not :meth:`_read`: sqlite3
+        releases the interpreter lock around every row it steps, and a
+        thread that gives the lock up once per row waits up to a switch
+        interval (5 ms) to get it back whenever another thread is busy in
+        Python -- a 2,000-row scan then takes seconds instead of
+        milliseconds, and a corpus refresh racing a query loop starves.
+        An aggregate is stepped once, whatever its row count.
+        """
+        ((text,),) = self._read(sql, params)
+        return json.loads(text)
+
     def _write(self, statements: list[tuple]) -> None:
         connection = self._acquire()
         try:
@@ -895,6 +621,11 @@ class PooledSqliteBackend(_SqliteQueries):
                 raise
         finally:
             self._release(connection)
+
+    # -- clocks and sequence -------------------------------------------
+    def clocks(self) -> tuple[int, int]:
+        values = self._read_json("SELECT json_group_object(name, value) FROM repo_clocks")
+        return (values["generation"], values["match_generation"])
 
     def next_sequences(self, count: int) -> int:
         if count <= 0:
@@ -914,6 +645,218 @@ class PooledSqliteBackend(_SqliteQueries):
         finally:
             self._release(connection)
         return value - count + 1
+
+    # -- schemata -------------------------------------------------------
+    def put_schema(self, name: str, payload: dict) -> None:
+        self._write([
+            (
+                "INSERT OR REPLACE INTO schemata (name, payload) VALUES (?, ?)",
+                (name, json.dumps(payload)),
+            ),
+            (_BUMP_CLOCK, (1, "generation")),
+        ])
+
+    def get_schema(self, name: str) -> dict | None:
+        rows = self._read("SELECT payload FROM schemata WHERE name = ?", (name,))
+        if not rows:
+            return None
+        return json.loads(rows[0][0])
+
+    def get_schemas(self, names: Sequence[str]) -> dict[str, dict]:
+        found: dict[str, dict] = {}
+        for chunk in _chunked(names):
+            marks = ",".join("?" * len(chunk))
+            found.update(self._read_json(
+                "SELECT json_group_object(name, json(payload)) FROM schemata"
+                f" WHERE name IN ({marks})",
+                tuple(chunk),
+            ))
+        return found
+
+    def put_schemas(
+        self,
+        payloads: dict[str, dict],
+        fingerprints: dict[str, dict] | None = None,
+    ) -> None:
+        """Bulk upsert as ONE transaction: every payload, every provided
+        fingerprint, every stale-fingerprint drop, and one generation bump
+        of ``len(payloads)`` commit together or not at all."""
+        if not payloads:
+            return
+        fingerprints = fingerprints or {}
+        statements: list[tuple] = []
+        for name, payload in payloads.items():
+            statements.append((
+                "INSERT OR REPLACE INTO schemata (name, payload) VALUES (?, ?)",
+                (name, json.dumps(payload)),
+            ))
+            fingerprint = fingerprints.get(name)
+            if fingerprint is None:
+                statements.append((
+                    "DELETE FROM corpus_fingerprints WHERE name = ?", (name,)
+                ))
+            else:
+                statements.append((
+                    "INSERT OR REPLACE INTO corpus_fingerprints (name, payload)"
+                    " VALUES (?, ?)",
+                    (name, json.dumps(fingerprint)),
+                ))
+        statements.append((_BUMP_CLOCK, (len(payloads), "generation")))
+        self._write(statements)
+
+    def schema_names(self) -> list[str]:
+        return sorted(self._read_json("SELECT json_group_array(name) FROM schemata"))
+
+    def delete_schema(self, name: str) -> None:
+        self._write([
+            ("DELETE FROM schemata WHERE name = ?", (name,)),
+            ("DELETE FROM corpus_fingerprints WHERE name = ?", (name,)),
+            (
+                "DELETE FROM matches WHERE source_schema = ? OR target_schema = ?",
+                (name, name),
+            ),
+            (_BUMP_CLOCK, (1, "generation")),
+            # The cascade may have deleted match rows; derived match
+            # structures (the mapping graph) must notice even when no
+            # match survived.
+            (_BUMP_CLOCK, (1, "match_generation")),
+        ])
+
+    # -- matches --------------------------------------------------------
+    def add_matches(self, matches: Sequence["StoredMatch"]) -> None:
+        """Bulk insert as ONE transaction: all rows (and the clock bump)
+        commit together, or nothing does."""
+        rows = [_match_row(match) for match in matches]
+        if not rows:
+            return
+        self._write(
+            [(_INSERT_MATCH, row) for row in rows]
+            + [(_BUMP_CLOCK, (1, "match_generation"))]
+        )
+
+    def all_matches(self) -> list["StoredMatch"]:
+        return [_stored(row) for row in self._read(_SELECT_MATCHES + " ORDER BY id")]
+
+    def matches_touching(self, schema_name: str) -> list["StoredMatch"]:
+        rows = self._read(
+            _SELECT_MATCHES
+            + " WHERE source_schema = ? OR target_schema = ? ORDER BY id",
+            (schema_name, schema_name),
+        )
+        return [_stored(row) for row in rows]
+
+    def matches_between(self, first: str, second: str) -> list["StoredMatch"]:
+        rows = self._read(
+            _SELECT_MATCHES
+            + " WHERE (source_schema = ? AND target_schema = ?)"
+            "    OR (source_schema = ? AND target_schema = ?) ORDER BY id",
+            (first, second, second, first),
+        )
+        return [_stored(row) for row in rows]
+
+    # -- corpus fingerprints -------------------------------------------
+    def put_fingerprint(self, name: str, payload: dict) -> None:
+        self._write([
+            (
+                "INSERT OR REPLACE INTO corpus_fingerprints (name, payload)"
+                " VALUES (?, ?)",
+                (name, json.dumps(payload)),
+            )
+        ])
+
+    def put_fingerprints(self, payloads: dict[str, dict]) -> None:
+        """Bulk write as ONE transaction (a cold index build is N schemata).
+
+        One statement over ``json_each`` of the whole batch, so the write
+        steps once rather than once per row (see :meth:`_read_json`).
+        """
+        self._write([
+            (
+                "INSERT OR REPLACE INTO corpus_fingerprints (name, payload)"
+                " SELECT key, value FROM json_each(?)",
+                (json.dumps(payloads),),
+            )
+        ])
+
+    def get_fingerprint(self, name: str) -> dict | None:
+        rows = self._read(
+            "SELECT payload FROM corpus_fingerprints WHERE name = ?", (name,)
+        )
+        if not rows:
+            return None
+        return json.loads(rows[0][0])
+
+    def get_fingerprints(self, names: Sequence[str]) -> dict[str, dict]:
+        """Bulk fingerprint read (one IN-clause query per 500 names).
+
+        The corpus index's refresh path: rebuilding K entries costs
+        ``ceil(K / 500)`` queries, not K round-trips.
+        """
+        found: dict[str, dict] = {}
+        for chunk in _chunked(names):
+            marks = ",".join("?" * len(chunk))
+            found.update(self._read_json(
+                "SELECT json_group_object(name, json(payload))"
+                f" FROM corpus_fingerprints WHERE name IN ({marks})",
+                tuple(chunk),
+            ))
+        return found
+
+    def fingerprint_names(self) -> list[str]:
+        return sorted(
+            self._read_json("SELECT json_group_array(name) FROM corpus_fingerprints")
+        )
+
+    def fingerprint_hashes(self) -> dict[str, str]:
+        """name -> content hash for every fingerprint, in one query.
+
+        The staleness probe of the corpus index; json_extract keeps it to
+        one small entry per schema instead of parsing whole term bags.
+        """
+        hashes = self._read_json(
+            "SELECT json_group_object(name, json_extract(payload, '$.hash'))"
+            " FROM corpus_fingerprints"
+        )
+        return {name: value or "" for name, value in hashes.items()}
+
+    def delete_fingerprint(self, name: str) -> None:
+        self._write([
+            ("DELETE FROM corpus_fingerprints WHERE name = ?", (name,))
+        ])
+
+    # -- request statistics (cache warming) ----------------------------
+    def record_requests(
+        self, records: Sequence[tuple[str, str, dict, int]]
+    ) -> None:
+        """Bulk upsert of request-hash counters as ONE transaction.
+
+        The serving tier flushes these in amortised batches off the hot
+        path; an existing key's count grows, its endpoint/payload refresh.
+        """
+        batch = list(records)
+        if not batch:
+            return
+        self._write([
+            (
+                "INSERT INTO request_stats (key, endpoint, payload, count)"
+                " VALUES (?, ?, ?, ?)"
+                " ON CONFLICT(key) DO UPDATE SET"
+                " endpoint = excluded.endpoint, payload = excluded.payload,"
+                " count = count + excluded.count",
+                (key, endpoint, json.dumps(payload), count),
+            )
+            for key, endpoint, payload, count in batch
+        ])
+
+    def hot_requests(self, limit: int) -> list[tuple[str, str, dict, int]]:
+        rows = self._read(
+            "SELECT key, endpoint, payload, count FROM request_stats"
+            " ORDER BY count DESC, key LIMIT ?",
+            (limit,),
+        )
+        return [
+            (row[0], row[1], json.loads(row[2]), row[3]) for row in rows
+        ]
 
     def pool_stats(self) -> PoolStats:
         with self._stats_lock:
@@ -949,31 +892,18 @@ class PooledSqliteBackend(_SqliteQueries):
 
 
 def open_backend(
-    backend: str | StorageBackend | None,
+    backend: StorageBackend | None,
     path: str | None,
     pool_size: int = 4,
     busy_timeout: float = 30.0,
 ) -> StorageBackend:
     """Resolve a backend spec to an instance.
 
-    ``None`` keeps the historical behaviour: SQLite when a path is given,
-    memory otherwise.  Strings name a backend explicitly (``"memory"``,
-    ``"sqlite"``, ``"pooled"``); an instance passes through untouched.
+    ``None`` picks by path: the pooled SQLite backend when a path is
+    given, memory otherwise.  An instance passes through untouched.
     """
-    if backend is None:
-        backend = "sqlite" if path is not None else "memory"
-    if not isinstance(backend, str):
+    if backend is not None:
         return backend
-    if backend == "memory":
-        if path is not None:
-            raise ValueError("the memory backend takes no path")
-        return InMemoryBackend()
     if path is None:
-        raise ValueError(f"the {backend!r} backend needs a database path")
-    if backend == "sqlite":
-        return SqliteBackend(path)
-    if backend == "pooled":
-        return PooledSqliteBackend(path, pool_size=pool_size, busy_timeout=busy_timeout)
-    raise ValueError(
-        f"unknown backend {backend!r} (expected 'memory', 'sqlite', or 'pooled')"
-    )
+        return InMemoryBackend()
+    return PooledSqliteBackend(path, pool_size=pool_size, busy_timeout=busy_timeout)

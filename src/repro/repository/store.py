@@ -8,23 +8,22 @@ of schema matches as knowledge artifacts."
 :class:`MetadataRepository` stores both: registered schemata and asserted
 matches with full provenance, filterable by trust policy.  Storage is
 pluggable behind the :class:`~repro.repository.backends.StorageBackend`
-protocol; three backends ship (see ``repro/repository/backends.py``):
-in-memory (default), single-connection SQLite (persistent, stdlib
-``sqlite3``), and pooled WAL-mode SQLite (persistent AND shareable by
-many threads and processes at once -- what ``repro serve --workers``
-opens in every worker).
+protocol; two backends ship (see ``repro/repository/backends.py``):
+in-memory (default) and pooled WAL-mode SQLite (persistent, stdlib
+``sqlite3``, and shareable by many threads and processes at once).
 
 Beyond schemata and matches, the backends persist *corpus fingerprints* --
-per-schema term statistics that :class:`~repro.corpus.index.CorpusIndex`
-derives once and reloads on reopen, so indexing a registered corpus does
-not re-profile every schema (see ``docs/repository.md``).  The repository
+per-schema term statistics that the corpus index
+(:class:`~repro.corpus.index.ShardedCorpusIndex`) derives once and
+reloads on reopen, so indexing a registered corpus does not re-profile
+every schema (see ``docs/repository.md``).  The repository
 also exposes two monotone staleness clocks, owned by the backend:
 :attr:`MetadataRepository.generation` (bumped on register/unregister --
 the corpus index's rebuild trigger) and
 :attr:`MetadataRepository.match_generation` (bumped whenever stored
 matches change -- what the :class:`~repro.network.graph.MappingGraph`
 adjacency cache and the serving tier's response cache key on).  On the
-SQLite backends the clocks are persisted and move in the same transaction
+SQLite backend the clocks are persisted and move in the same transaction
 as the write that bumps them, so they are exact across reopens and across
 processes.
 """
@@ -61,9 +60,8 @@ class MetadataRepository:
     One repository may be shared across threads (the serving tier binds a
     single instance under a ``ThreadingHTTPServer``).  The locking
     discipline follows the backend's declaration: a backend with
-    ``serialize_calls = True`` (memory dicts; the legacy single SQLite
-    connection, opened cross-thread-shareable for exactly this purpose)
-    has every call serialised under one internal lock, while a
+    ``serialize_calls = True`` (the memory dicts) has every call
+    serialised under one internal lock, while a
     ``serialize_calls = False`` backend (the pooled WAL store, which
     hands each caller its own connection) runs reads concurrently and
     only composite read-modify-write operations -- register's no-op
@@ -72,20 +70,20 @@ class MetadataRepository:
     Parameters
     ----------
     path:
-        In-memory by default; pass a file path for SQLite persistence.
+        In-memory by default; pass a file path for the pooled-WAL SQLite
+        backend.
     backend:
-        ``None`` (historical default: SQLite when ``path`` is given,
-        memory otherwise), a backend name (``"memory"``, ``"sqlite"``,
-        ``"pooled"``), or a ready :class:`StorageBackend` instance.
+        ``None`` (picked by ``path``) or a ready :class:`StorageBackend`
+        instance.
     pool_size / busy_timeout:
         Pooled-backend tuning (connections per process; seconds a write
-        waits for a busy database) -- ignored by the other backends.
+        waits for a busy database) -- ignored by the memory backend.
     """
 
     def __init__(
         self,
         path: str | None = None,
-        backend: str | StorageBackend | None = None,
+        backend: StorageBackend | None = None,
         pool_size: int = 4,
         busy_timeout: float = 30.0,
     ):
@@ -129,7 +127,7 @@ class MetadataRepository:
         were built at against the current one to detect staleness without
         diffing the whole registry on every query.  The clock is owned by
         the backend: in-memory it is a per-instance counter; on the
-        SQLite backends it is persisted and bumped in the same
+        SQLite backend it is persisted and bumped in the same
         transaction as the write, so it survives reopen and is visible
         to every process sharing the database file.
         """
@@ -338,7 +336,7 @@ class MetadataRepository:
             return len(self._backend.schema_names())
 
     # ------------------------------------------------------------------
-    # Corpus fingerprints (derived data owned by repro.corpus.CorpusIndex)
+    # Corpus fingerprints (derived data owned by the corpus index)
     # ------------------------------------------------------------------
     def put_fingerprint(self, name: str, payload: dict) -> None:
         """Persist one schema's derived term statistics (JSON payload)."""

@@ -41,7 +41,7 @@ speedup, invalidation correctness); ``docs/serving.md`` documents the
 endpoints, cache semantics, and deployment notes.
 """
 
-from repro.server.app import MatchServer, ServerMetrics, serve_until_shutdown
+from repro.server.app import MatchServer, serve_until_shutdown
 from repro.server.cache import CacheStats, ResponseCache, canonical_request_key
 from repro.server.client import MatchServerError, MatchServiceClient
 from repro.server.distcache import (
@@ -64,7 +64,6 @@ __all__ = [
     "MatchServiceClient",
     "RemoteCache",
     "ResponseCache",
-    "ServerMetrics",
     "TieredCache",
     "attach_cache_nudge",
     "build_cache",

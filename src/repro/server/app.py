@@ -69,7 +69,6 @@ from repro.telemetry import (
 
 __all__ = [
     "MatchServer",
-    "ServerMetrics",
     "endpoint_clocks",
     "endpoint_executor",
     "serve_until_shutdown",
@@ -103,41 +102,6 @@ def endpoint_executor(service: MatchService, endpoint: str):
         "/corpus-match": service.corpus_match,
         "/network-match": service.network_match,
     }.get(endpoint)
-
-
-class ServerMetrics:
-    """Thread-safe per-endpoint metrics over a telemetry stats board.
-
-    The flat counters of earlier versions (requests, errors,
-    seconds_total, cache_hits, cache_misses) are preserved per endpoint,
-    now joined by a fixed-bucket latency histogram (``latency`` block
-    with p50/p95/p99) and per-span-kind histograms.  Storage is a
-    :class:`repro.telemetry.StatsBoard` -- a private in-memory region for
-    a threaded server, or a worker's region of the shared fleet stats
-    file under prefork serving, which is what lets any worker's
-    ``/metrics`` report exact fleet totals.
-    """
-
-    def __init__(self, board: StatsBoard | None = None) -> None:
-        self.board = board if board is not None else StatsBoard()
-
-    def record(
-        self,
-        endpoint: str,
-        seconds: float,
-        status: int,
-        cache: str | None = None,
-    ) -> None:
-        self.board.record_endpoint(
-            endpoint, seconds, error=status >= 400, cache=cache
-        )
-
-    def record_trace(self, payload: Mapping[str, Any]) -> None:
-        """Fold one serialised trace into the per-span-kind histograms."""
-        self.board.record_trace(payload)
-
-    def to_dict(self) -> dict[str, dict[str, float]]:
-        return self.board.snapshot()["endpoints"]
 
 
 class MatchServer(ThreadingHTTPServer):
@@ -202,6 +166,11 @@ class MatchServer(ThreadingHTTPServer):
     #: ``server_close`` instead of being killed with the process.
     daemon_threads = False
     block_on_close = True
+    #: Listen backlog, as on the process-pool listener.  socketserver's
+    #: default of 5 overflows when a burst of clients connects while
+    #: handler threads hold the interpreter lock, and each dropped SYN
+    #: costs its client a one-second retransmit.
+    request_queue_size = 128
 
     def __init__(
         self,
@@ -235,12 +204,15 @@ class MatchServer(ThreadingHTTPServer):
         )
         self.fleet = fleet
         self.fleet_index = fleet_index
+        #: Per-endpoint counters and latency histograms, plus per-span-kind
+        #: histograms: a private in-memory board for a threaded server, or
+        #: this worker's region of the shared fleet stats file under
+        #: prefork serving (what lets any worker report fleet totals).
         if fleet is not None:
-            board = fleet.worker_board(fleet_index)
-            board.set_pid(os.getpid())
-            self.metrics = ServerMetrics(board)
+            self.board = fleet.worker_board(fleet_index)
+            self.board.set_pid(os.getpid())
         else:
-            self.metrics = ServerMetrics()
+            self.board = StatsBoard()
         self.quiet = quiet
         self.started_at = time.perf_counter()
         # Operators correlate this with external logs; it never enters a
@@ -367,7 +339,7 @@ class MatchServer(ThreadingHTTPServer):
         stats = self.cache.stats.to_dict()
         stats["entries"] = len(self.cache)
         corpus = self.service.corpus_status()
-        self.metrics.board.set_gauges(
+        self.board.set_gauges(
             cache=stats,
             cascade=self.service.cascade_status(),
             corpus={
@@ -416,7 +388,7 @@ class MatchServer(ThreadingHTTPServer):
 
     def metrics_payload(self) -> dict[str, Any]:
         self.sync_gauges()
-        snapshot = self.metrics.board.snapshot()
+        snapshot = self.board.snapshot()
         payload = {
             "endpoints": snapshot["endpoints"],
             "spans": snapshot["spans"],
@@ -497,10 +469,10 @@ class MatchRequestHandler(BaseHTTPRequestHandler):
         # follow-up /metrics read must already see this request counted.
         # Unknown paths bucket under one key so a URL-sweeping client
         # cannot grow the metrics map without bound.
-        self.server.metrics.record(
+        self.server.board.record_endpoint(
             path if route is not None else "(unknown)",
             time.perf_counter() - started,
-            status,
+            error=status >= 400,
         )
         self._respond(status, payload)
 
@@ -521,7 +493,9 @@ class MatchRequestHandler(BaseHTTPRequestHandler):
             path if self._post_executor(path) is not None else "(unknown)"
         )
         # Record before responding (see do_GET); unknown paths bucket.
-        self.server.metrics.record(endpoint, elapsed, status, cache=cache_status)
+        self.server.board.record_endpoint(
+            endpoint, elapsed, error=status >= 400, cache=cache_status
+        )
         # The trace to report.  A cache hit replays the STORED envelope's
         # trace (that is the execution the response describes -- the
         # ambient hit-path trace is a lone cache.get and is never folded
@@ -545,7 +519,7 @@ class MatchRequestHandler(BaseHTTPRequestHandler):
             # Fresh executions only: a cache hit replays a STORED trace --
             # folding it into histograms or the slow log again would count
             # work that did not run.
-            self.server.metrics.record_trace(trace_payload)
+            self.server.board.record_trace(trace_payload)
             if self.server.trace_writer is not None:
                 self.server.trace_writer.maybe_write(
                     endpoint, trace_payload, elapsed

@@ -149,7 +149,7 @@ class ResponseCache:
         self._lock = threading.Lock()
         self._stats = CacheStats()
 
-    def lookup(self, key: str, clocks: Clocks) -> Any | None:
+    def get(self, key: str, clocks: Clocks) -> Any | None:
         """The cached value, or None on miss / clock-invalidated entry.
 
         An entry computed under different clocks is *deleted* on sight
@@ -175,7 +175,7 @@ class ResponseCache:
             self._stats = replace(self._stats, hits=self._stats.hits + 1)
             return entry.value
 
-    def store(self, key: str, value: Any, clocks: Clocks) -> None:
+    def put(self, key: str, value: Any, clocks: Clocks) -> None:
         """Insert (or refresh) one entry; trims LRU entries beyond the bound."""
         with self._lock:
             self._entries[key] = _Entry(value, clocks)
@@ -189,12 +189,6 @@ class ResponseCache:
                 self._stats = replace(
                     self._stats, evictions=self._stats.evictions + evicted
                 )
-
-    # -- the CacheBackend protocol spellings ---------------------------
-    #: ``get``/``put`` are the protocol names (repro.server.distcache);
-    #: ``lookup``/``store`` remain as the historical in-process spelling.
-    get = lookup
-    put = store
 
     def evict_watermark(self, watermark: Clocks) -> int:
         """Drop every entry stored under clocks older than ``watermark``.

@@ -63,7 +63,7 @@ def _worker_main(
     busy_timeout: float,
     quiet: bool,
     refresh_interval: float | None = None,
-    corpus_shards: int | None = None,
+    corpus_shards: int = 1,
     cache_url: str | None = None,
     cache_tier: str = "auto",
     cache_timeout: float = 1.0,
@@ -85,10 +85,7 @@ def _worker_main(
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, lambda *_: stop.set())
     repository = MetadataRepository(
-        path=db_path,
-        backend="pooled",
-        pool_size=pool_size,
-        busy_timeout=busy_timeout,
+        path=db_path, pool_size=pool_size, busy_timeout=busy_timeout
     )
     try:
         service = MatchService(
@@ -156,7 +153,7 @@ def serve_process_pool(
     quiet: bool = True,
     announce: Callable[[str, int], None] | None = None,
     refresh_interval: float | None = None,
-    corpus_shards: int | None = None,
+    corpus_shards: int = 1,
     cache_url: str | None = None,
     cache_tier: str = "auto",
     cache_timeout: float = 1.0,
@@ -190,6 +187,11 @@ def serve_process_pool(
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((host, port))
         listener.listen(128)
+        # Non-blocking BEFORE the forks: every worker's selector wakes on
+        # each new connection, and the workers that lose the accept race
+        # must get BlockingIOError ("no request" to socketserver) instead
+        # of blocking in accept() where they would never see shutdown.
+        listener.setblocking(False)
         bound_port = listener.getsockname()[1]
 
         workers: list[int] = []

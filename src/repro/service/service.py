@@ -49,9 +49,9 @@ from typing import Iterable, Mapping, Sequence
 from repro.batch.runner import BatchMatchRunner, BatchPairOutcome
 from repro.cascade.executor import CascadeCounters, CascadeExecutor
 from repro.cascade.plan import CascadePlan
-from repro.corpus.index import CorpusIndex
+from repro.corpus.index import ShardedCorpusIndex
 from repro.corpus.index import payload_hash as corpus_payload_hash
-from repro.corpus.sharding import CorpusRefreshWorker, ShardedCorpusIndex
+from repro.corpus.sharding import CorpusRefreshWorker
 from repro.match.correspondence import Correspondence
 from repro.match.engine import HarmonyMatchEngine, MatchResult
 from repro.match.selection import SelectionStrategy
@@ -120,7 +120,7 @@ class MatchService:
         repository: MetadataRepository | None = None,
         auto_batch_pairs: int = DEFAULT_AUTO_BATCH_PAIRS,
         asserted_by: str = "match-service",
-        corpus_shards: int | None = None,
+        corpus_shards: int = 1,
         oracle_cache=None,
         tracer: Tracer | None = None,
     ):
@@ -128,12 +128,12 @@ class MatchService:
         self.repository = repository
         if auto_batch_pairs <= 0:
             raise ValueError(f"auto_batch_pairs must be positive, got {auto_batch_pairs}")
-        if corpus_shards is not None and corpus_shards < 1:
+        if corpus_shards < 1:
             raise ValueError(f"corpus_shards must be >= 1, got {corpus_shards}")
         self.auto_batch_pairs = auto_batch_pairs
         self.asserted_by = asserted_by
         self.tracer = tracer if tracer is not None else Tracer()
-        #: None -> unsharded CorpusIndex; N -> ShardedCorpusIndex(N).
+        #: Hash-range partitions of the corpus index (1 = unsharded).
         self.corpus_shards = corpus_shards
         #: One feature space and one profile cache, shared by every engine
         #: and runner this service compiles.
@@ -146,7 +146,7 @@ class MatchService:
         self._cascades: dict[CascadePlan, CascadeExecutor] = {}
         self._oracle_cache = oracle_cache
         self.cascade_counters = CascadeCounters()
-        self._corpus_index: CorpusIndex | ShardedCorpusIndex | None = None
+        self._corpus_index: ShardedCorpusIndex | None = None
         self._refresh_worker: CorpusRefreshWorker | None = None
         self._mapping_graph: MappingGraph | None = None
         #: Registered schemata as stable objects, keyed by name and
@@ -537,25 +537,21 @@ class MatchService:
     # ------------------------------------------------------------------
     # Repository-scale matching: retrieve, match, reuse, rank
     # ------------------------------------------------------------------
-    def corpus_index(self) -> CorpusIndex | ShardedCorpusIndex:
+    def corpus_index(self) -> ShardedCorpusIndex:
         """The service's corpus index over its bound repository (lazy).
 
-        One index per service; it refreshes itself against the
-        repository's generation clock, so callers never rebuild manually.
-        ``corpus_shards=N`` at construction swaps in a
-        :class:`~repro.corpus.sharding.ShardedCorpusIndex` -- same
-        retrieval contract, bit-identical scores, per-shard refresh.
+        One index per service, partitioned into ``corpus_shards``
+        hash-range shards (bit-identical scores for any count); it
+        refreshes itself against the repository's generation clock, so
+        callers never rebuild manually.
         """
         if self.repository is None:
             raise ValueError("corpus indexing requires a bound MetadataRepository")
         with self._lock:
             if self._corpus_index is None:
-                if self.corpus_shards is not None:
-                    self._corpus_index = ShardedCorpusIndex(
-                        self.repository, n_shards=self.corpus_shards
-                    )
-                else:
-                    self._corpus_index = CorpusIndex(self.repository)
+                self._corpus_index = ShardedCorpusIndex(
+                    self.repository, n_shards=self.corpus_shards
+                )
             return self._corpus_index
 
     def start_corpus_refresh(self, interval: float = 1.0) -> CorpusRefreshWorker:
@@ -601,10 +597,9 @@ class MatchService:
             "initialized": True,
             "n_indexed": index.n_indexed(),
             "stale": index.is_stale(),
+            "n_shards": index.n_shards,
+            "shards": [stats.to_dict() for stats in index.shard_stats()],
         }
-        if isinstance(index, ShardedCorpusIndex):
-            status["n_shards"] = index.n_shards
-            status["shards"] = [stats.to_dict() for stats in index.shard_stats()]
         if worker is not None:
             status["refresh_worker"] = worker.stats().to_dict()
         return status

@@ -1,8 +1,8 @@
 """The executable StorageBackend contract, run against every backend.
 
-Every test in this module is parametrized over the three shipping
-backends -- in-memory, legacy single-connection SQLite, pooled-WAL
-SQLite -- and asserts IDENTICAL behaviour: a backend that passes here is
+Every test in this module is parametrized over the two shipping
+backends -- in-memory and pooled-WAL SQLite -- and asserts IDENTICAL
+behaviour: a backend that passes here is
 a drop-in under :class:`~repro.repository.store.MetadataRepository`.
 The protocol prose lives on
 :class:`~repro.repository.backends.StorageBackend`; this file is the
@@ -30,13 +30,12 @@ from repro.repository import (
     InMemoryBackend,
     PooledSqliteBackend,
     ProvenanceRecord,
-    SqliteBackend,
     StorageBackend,
     open_backend,
 )
 from repro.repository.store import StoredMatch
 
-BACKENDS = ("memory", "sqlite", "pooled")
+BACKENDS = ("memory", "pooled")
 
 
 @pytest.fixture(params=BACKENDS)
@@ -49,7 +48,7 @@ def backend(request, tmp_path):
 
 def _open(kind: str, tmp_path) -> StorageBackend:
     path = None if kind == "memory" else str(tmp_path / "contract.db")
-    return open_backend(kind, path)
+    return open_backend(None, path)
 
 
 def _match(
@@ -97,7 +96,7 @@ class TestProtocolConformance:
 
     def test_describe_names_the_kind(self, backend):
         description = backend.describe()
-        assert description["kind"] in ("memory", "sqlite", "pooled-wal")
+        assert description["kind"] in ("memory", "pooled-wal")
 
 
 class TestSchemata:
@@ -417,9 +416,9 @@ class TestPersistenceAcrossReopen:
     (The in-memory backend is excluded: nothing to reopen.)
     """
 
-    @pytest.fixture(params=["sqlite", "pooled"])
-    def kind(self, request):
-        return request.param
+    @pytest.fixture
+    def kind(self):
+        return "pooled"
 
     def test_data_and_clocks_survive_reopen(self, kind, tmp_path):
         store = _open(kind, tmp_path)
@@ -464,57 +463,18 @@ class TestPersistenceAcrossReopen:
         finally:
             reopened.close()
 
-    def test_backends_share_one_file_format(self, tmp_path):
-        """A store written by one SQLite backend opens under the other."""
-        legacy = _open("sqlite", tmp_path)
-        legacy.put_schema("orders", {"v": 1})
-        legacy.add_matches([_match(sequence=legacy.next_sequences(1))])
-        clocks = legacy.clocks()
-        legacy.close()
-
-        pooled = _open("pooled", tmp_path)
-        try:
-            assert pooled.schema_names() == ["orders"]
-            assert len(pooled.all_matches()) == 1
-            assert pooled.clocks() == clocks
-            pooled.put_schema("invoices", {"v": 2})
-        finally:
-            pooled.close()
-
-        # ... and back: the pooled backend's WAL switch does not lock the
-        # legacy backend out.
-        legacy_again = _open("sqlite", tmp_path)
-        try:
-            assert legacy_again.schema_names() == ["invoices", "orders"]
-            assert legacy_again.clocks() == (clocks[0] + 1, clocks[1])
-        finally:
-            legacy_again.close()
-
 
 class TestOpenBackend:
     def test_default_resolution(self, tmp_path):
         assert isinstance(open_backend(None, None), InMemoryBackend)
-        sqlite_store = open_backend(None, str(tmp_path / "a.db"))
-        assert isinstance(sqlite_store, SqliteBackend)
-        sqlite_store.close()
+        file_store = open_backend(None, str(tmp_path / "a.db"))
+        assert isinstance(file_store, PooledSqliteBackend)
+        assert file_store.describe()["kind"] == "pooled-wal"
+        file_store.close()
 
     def test_instance_passthrough(self):
         instance = InMemoryBackend()
         assert open_backend(instance, None) is instance
-
-    def test_memory_takes_no_path(self, tmp_path):
-        with pytest.raises(ValueError, match="no path"):
-            open_backend("memory", str(tmp_path / "a.db"))
-
-    def test_file_backends_need_a_path(self):
-        with pytest.raises(ValueError, match="needs a database path"):
-            open_backend("sqlite", None)
-        with pytest.raises(ValueError, match="needs a database path"):
-            open_backend("pooled", None)
-
-    def test_unknown_backend_is_an_error(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown backend"):
-            open_backend("postgres", str(tmp_path / "a.db"))
 
 
 # ----------------------------------------------------------------------
@@ -527,7 +487,7 @@ from repro.repository import MetadataRepository
 from repro.schema import Schema, SchemaElement
 
 db_path, batch_size = sys.argv[1], int(sys.argv[2])
-repo = MetadataRepository(path=db_path, backend="pooled")
+repo = MetadataRepository(path=db_path)
 for name in ("left", "right"):
     schema = Schema(name=name)
     schema.add(SchemaElement(element_id=f"{name}.e", name="e"))
@@ -649,12 +609,6 @@ class TestStoredMatchRoundTrip:
     @given(match=_stored_matches)
     def test_memory(self, match):
         self._roundtrip(InMemoryBackend(), match)
-
-    @settings(max_examples=60, deadline=None)
-    @given(match=_stored_matches)
-    def test_sqlite(self, tmp_path_factory, match):
-        path = str(tmp_path_factory.mktemp("rt") / "rt.db")
-        self._roundtrip(SqliteBackend(path), match)
 
     @settings(max_examples=60, deadline=None)
     @given(match=_stored_matches)

@@ -197,6 +197,7 @@ class TestIndexRefreshUnderWrites:
             index.refresh()
         finally:
             del repository.schema_names
-        assert "mid_refresh_arrival" not in index._index.names
+        # The published snapshot lacks the mid-refresh arrival.
+        assert index.n_indexed() == len(repository) - 1
         assert index.is_stale()  # the stamped clock predates the write
         assert "mid_refresh_arrival" in index.names  # next query picks it up

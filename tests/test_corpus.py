@@ -40,7 +40,7 @@ def medical(name, extra=()):
     )
 
 
-@pytest.fixture(params=["memory", "sqlite"])
+@pytest.fixture(params=["memory", "pooled"])
 def repository(request, tmp_path):
     if request.param == "memory":
         repo = MetadataRepository()
@@ -230,10 +230,13 @@ class TestRepositoryEdgeCases:
         assert repository.generation == start + 2
 
     def test_store_matches_is_one_sqlite_transaction(self, tmp_path):
-        repository = MetadataRepository(path=str(tmp_path / "txn.db"))
+        # One pooled connection, so tracing it sees every statement.
+        repository = MetadataRepository(path=str(tmp_path / "txn.db"), pool_size=1)
         for name in ("a", "b"):
             repository.register(medical(name))
-        connection = repository._backend._connection
+        backend = repository.backend
+        connection = backend._acquire()
+        backend._release(connection)
         statements = []
         connection.set_trace_callback(statements.append)
         count = repository.store_matches(

@@ -68,7 +68,7 @@ class _Replica:
 
     def __init__(self, db_path: str, cache, warm_limit: int = 0):
         self.repository = MetadataRepository(
-            path=db_path, backend="pooled", pool_size=2
+            path=db_path, pool_size=2
         )
         self.service = MatchService(repository=self.repository)
         self.server = MatchServer(
@@ -104,7 +104,7 @@ class _Fleet:
         # repositories, so replica-local nudge listeners never see these
         # writes: exactly the cross-process scenario.  Its own nudge
         # broadcasts into the shared tier only.
-        self.writer = MetadataRepository(path=db_path, backend="pooled")
+        self.writer = MetadataRepository(path=db_path)
         self._writer_cache = RemoteCache(self.shared.address, timeout=2.0)
         attach_cache_nudge(self.writer, self._writer_cache)
         self.referee = MatchService(repository=self.writer)
@@ -149,7 +149,7 @@ def seeded_db(tmp_path_factory):
     corpus = generate_clustered_corpus(
         n_domains=2, schemata_per_domain=3, seed=2009
     )
-    with MetadataRepository(path=db_path, backend="pooled") as seeder:
+    with MetadataRepository(path=db_path) as seeder:
         for generated in corpus.schemata:
             seeder.register(generated.schema)
         names = sorted(seeder.schema_names())

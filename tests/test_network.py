@@ -31,7 +31,7 @@ def small_schema(name, elements=("x", "y")):
     return schema
 
 
-@pytest.fixture(params=["memory", "sqlite"])
+@pytest.fixture(params=["memory", "pooled"])
 def repository(request, tmp_path):
     if request.param == "memory":
         repo = MetadataRepository()

@@ -9,7 +9,8 @@ HTTP, and asserts on the parent's exit status and output.
 Covered: the announce/round-trip/SIGTERM lifecycle; answers identical to
 a direct in-process MatchService (the serving tier must never change
 scores); cross-process cache invalidation (a write from THIS process is
-seen by every worker's next response); SIGINT; a SIGKILLed worker taking
+seen by every worker's next response); SIGINT; SIGTERM right after a
+connection burst (no worker may stay blocked in accept); a SIGKILLed worker taking
 the pool down with status 1; and the exit-2 validation of every bad flag
 combination.  Bench E20 measures the same tier under load.
 """
@@ -43,7 +44,7 @@ def _seed(db_path: str) -> list[str]:
     corpus = generate_clustered_corpus(
         n_domains=2, schemata_per_domain=3, seed=41
     )
-    with MetadataRepository(path=db_path, backend="pooled") as repository:
+    with MetadataRepository(path=db_path) as repository:
         for generated in corpus.schemata:
             repository.register(generated.schema)
         return sorted(repository.schema_names())
@@ -131,7 +132,7 @@ class TestProcessPoolServing:
     def test_served_scores_equal_direct_service(self, pool):
         source, target = pool.names[0], pool.names[1]
         served = pool.client.match(MatchRequest(source=source, target=target))
-        with MetadataRepository(path=pool.db_path, backend="pooled") as repo:
+        with MetadataRepository(path=pool.db_path) as repo:
             referee = MatchService(repository=repo).match_pair(source, target)
         assert served.correspondences, "the served answer must be non-trivial"
         assert [
@@ -155,7 +156,7 @@ class TestProcessPoolServing:
         # a one-worker-only streak vanishingly unlikely.
         for _ in range(8):
             assert not pool.client.network_match(request).correspondences
-        with MetadataRepository(path=pool.db_path, backend="pooled") as repo:
+        with MetadataRepository(path=pool.db_path) as repo:
             referee = MatchService(repository=repo)
             # The cross-process write: persist a->b and b->c mappings, which
             # gives the a->c network route something to compose.
@@ -203,6 +204,28 @@ class TestProcessPoolServing:
         )
         assert pool.stop() == 0
 
+    def test_sigterm_after_a_connection_burst_exits_promptly(self, tmp_path):
+        """Every worker's selector wakes on each new connection; the ones
+        that lose the accept race must not block in accept(), or SIGTERM
+        never reaches their serve loop and the pool hangs."""
+        db_path = str(tmp_path / "burst.db")
+        _seed(db_path)
+        burst = _Pool(db_path, workers=4)
+        try:
+            # One connection at a time, each landing on an idle pool: every
+            # connection wakes all four selectors, so each is a fresh race.
+            for _ in range(80):
+                assert burst.client.health()["status"] == "ok"
+                time.sleep(0.005)
+            try:
+                status = burst.stop(timeout=20.0)
+            except subprocess.TimeoutExpired:
+                pytest.fail("the pool did not exit within 20 s of SIGTERM")
+            assert status == 0
+            assert "stopped cleanly" in burst.output
+        finally:
+            burst.kill()
+
     def test_sigint_also_drains_cleanly(self, pool):
         pool.client.health()
         assert pool.stop(signal.SIGINT) == 0
@@ -232,20 +255,6 @@ class TestServeWorkersCli:
     def test_workers_without_db_exits_2(self):
         with pytest.raises(SystemExit) as caught:
             main(["serve", "--workers", "2"])
-        assert caught.value.code == 2
-
-    def test_workers_with_legacy_backend_exits_2(self, tmp_path):
-        with pytest.raises(SystemExit) as caught:
-            main([
-                "serve", "--workers", "2",
-                "--db", str(tmp_path / "a.db"),
-                "--backend", "sqlite",
-            ])
-        assert caught.value.code == 2
-
-    def test_pooled_backend_without_db_exits_2(self):
-        with pytest.raises(SystemExit) as caught:
-            main(["serve", "--backend", "pooled"])
         assert caught.value.code == 2
 
     def test_zero_pool_size_exits_2(self, tmp_path):

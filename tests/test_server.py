@@ -105,17 +105,17 @@ class TestRequestWire:
 class TestResponseCache:
     def test_hit_and_miss(self):
         cache = ResponseCache()
-        assert cache.lookup("k", (1, 1)) is None
-        cache.store("k", {"x": 1}, (1, 1))
-        assert cache.lookup("k", (1, 1)) == {"x": 1}
+        assert cache.get("k", (1, 1)) is None
+        cache.put("k", {"x": 1}, (1, 1))
+        assert cache.get("k", (1, 1)) == {"x": 1}
         stats = cache.stats
         assert (stats.hits, stats.misses) == (1, 1)
         assert stats.hit_rate == 0.5
 
     def test_clock_movement_invalidates(self):
         cache = ResponseCache()
-        cache.store("k", {"x": 1}, (1, 1))
-        assert cache.lookup("k", (1, 2)) is None
+        cache.put("k", {"x": 1}, (1, 1))
+        assert cache.get("k", (1, 2)) is None
         assert cache.stats.invalidations == 1
         assert len(cache) == 0  # evicted, not retained stale
 
@@ -123,17 +123,17 @@ class TestResponseCache:
         # A repository-less service: nothing the response depends on can
         # change, so the constant watermark hits forever.
         cache = ResponseCache()
-        cache.store("k", {"x": 1}, (None, None))
-        assert cache.lookup("k", (None, None)) == {"x": 1}
+        cache.put("k", {"x": 1}, (None, None))
+        assert cache.get("k", (None, None)) == {"x": 1}
 
     def test_lru_eviction(self):
         cache = ResponseCache(max_entries=2)
-        cache.store("a", 1, (0, 0))
-        cache.store("b", 2, (0, 0))
-        assert cache.lookup("a", (0, 0)) == 1  # refresh a; b is now LRU
-        cache.store("c", 3, (0, 0))
-        assert cache.lookup("b", (0, 0)) is None
-        assert cache.lookup("a", (0, 0)) == 1
+        cache.put("a", 1, (0, 0))
+        cache.put("b", 2, (0, 0))
+        assert cache.get("a", (0, 0)) == 1  # refresh a; b is now LRU
+        cache.put("c", 3, (0, 0))
+        assert cache.get("b", (0, 0)) is None
+        assert cache.get("a", (0, 0)) == 1
         assert cache.stats.evictions == 1
 
     def test_max_entries_validated(self):

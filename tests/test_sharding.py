@@ -3,9 +3,12 @@ and the background refresh worker.
 
 The load-bearing claims, each with the test that can fail it:
 
-* sharded top-k retrieval returns EXACTLY the unsharded engine's hits --
+* sharded top-k retrieval returns EXACTLY the hits of the reference
+  ``SchemaSearchEngine`` over one ``SchemaIndex`` of the same registry --
   same names, same order, scores equal with ``==`` (stronger than the
   1e-9 the E21 bench asserts) -- for any shard count;
+* a malformed stored payload is skipped by refresh, never indexed, and
+  never fails a query;
 * ``bulk_register_schemas`` / ``bulk_ingest`` land the same repository
   state as a ``register()`` loop, just in fewer transactions;
 * the refresh worker keeps shards warm without ever being a correctness
@@ -17,6 +20,7 @@ The load-bearing claims, each with the test that can fail it:
 from __future__ import annotations
 
 import json
+import logging
 import threading
 
 import pytest
@@ -35,6 +39,7 @@ from repro.corpus import (
 )
 from repro.repository import MetadataRepository
 from repro.schema.serialize import schema_from_dict, schema_to_dict
+from repro.search import SchemaIndex, SchemaQuery, SchemaSearchEngine
 from repro.service import MatchService
 from repro.service.requests import CorpusMatchRequest
 from repro.synthetic import generate_enterprise_corpus, generate_scaled_corpus
@@ -51,6 +56,16 @@ def repository(corpus):
     for name in corpus.names:
         repo.register(corpus.by_name(name).schema)
     return repo
+
+
+def _reference(repository, query, limit, exclude=None):
+    """``SchemaSearchEngine`` top-k over one unsharded index of the registry."""
+    index = SchemaIndex()
+    for name in repository.schema_names():
+        index.add(repository.schema(name), name=name)
+    return SchemaSearchEngine(index).search(
+        SchemaQuery(query), limit=limit, exclude=exclude
+    )
 
 
 def _renamed(corpus, source_name: str, new_name: str):
@@ -83,15 +98,14 @@ class TestShardOfName:
 
 
 class TestExactness:
-    """Sharded retrieval == unsharded retrieval, bit for bit."""
+    """Sharded retrieval == the reference search engine, bit for bit."""
 
     @pytest.mark.parametrize("n_shards", [1, 3, 8])
     def test_scores_equal_the_unsharded_engine(self, corpus, repository, n_shards):
-        flat = CorpusIndex(repository)
         sharded = ShardedCorpusIndex(repository, n_shards=n_shards)
         for query_name in corpus.names[::9]:
             query = corpus.by_name(query_name).schema
-            expected = flat.top_candidates(query, limit=8, exclude=query_name)
+            expected = _reference(repository, query, limit=8, exclude=query_name)
             actual = sharded.top_candidates(query, limit=8, exclude=query_name)
             assert [hit.schema_name for hit in actual] == [
                 hit.schema_name for hit in expected
@@ -99,18 +113,25 @@ class TestExactness:
             for got, want in zip(actual, expected):
                 assert got.score == want.score  # equality, not approx
 
+    def test_one_shard_corpus_index_is_exact(self, corpus, repository):
+        index = CorpusIndex(repository)
+        assert index.n_shards == 1
+        query = corpus.by_name("D3S2").schema
+        assert index.top_candidates(
+            query, limit=8, exclude="D3S2"
+        ) == _reference(repository, query, limit=8, exclude="D3S2")
+
     def test_small_limits_and_exclude(self, corpus, repository):
-        flat = CorpusIndex(repository)
         sharded = ShardedCorpusIndex(repository, n_shards=4)
         query = corpus.by_name("D0S0").schema
         for limit in (1, 2, 30):
-            assert sharded.top_candidates(query, limit=limit) == flat.top_candidates(
-                query, limit=limit
+            assert sharded.top_candidates(query, limit=limit) == _reference(
+                repository, query, limit=limit
             )
-        excluded = flat.top_candidates(query, limit=1)[0].schema_name
+        excluded = _reference(repository, query, limit=1)[0].schema_name
         assert sharded.top_candidates(
             query, limit=3, exclude=excluded
-        ) == flat.top_candidates(query, limit=3, exclude=excluded)
+        ) == _reference(repository, query, limit=3, exclude=excluded)
 
     def test_rejects_non_positive_limit(self, repository, corpus):
         sharded = ShardedCorpusIndex(repository, n_shards=2)
@@ -128,13 +149,12 @@ class TestExactness:
         repo = MetadataRepository()
         for generated in scaled.schemata:
             repo.register(generated.schema)
-        flat = CorpusIndex(repo)
         sharded = ShardedCorpusIndex(repo, n_shards=6)
         for query_name in scaled.names[::17]:
             query = scaled.by_name(query_name).schema
             assert sharded.top_candidates(
                 query, limit=5, exclude=query_name
-            ) == flat.top_candidates(query, limit=5, exclude=query_name)
+            ) == _reference(repo, query, limit=5, exclude=query_name)
 
 
 class TestShardAssignment:
@@ -143,11 +163,10 @@ class TestShardAssignment:
         def by_domain(name: str) -> int:
             return int(name[1 : name.index("S")]) % 3
 
-        flat = CorpusIndex(repository)
         sharded = ShardedCorpusIndex(repository, n_shards=3, shard_assign=by_domain)
         query = corpus.by_name("D2S1").schema
-        assert sharded.top_candidates(query, limit=6) == flat.top_candidates(
-            query, limit=6
+        assert sharded.top_candidates(query, limit=6) == _reference(
+            repository, query, limit=6
         )
         # Every member of one domain shares one shard.
         assert {sharded.shard_of(n) for n in corpus.names if n.startswith("D4")} == {
@@ -319,6 +338,66 @@ class TestIngest:
             bulk_ingest(repo, schemas, executor="rocket")
 
 
+#: Stored payloads no refresh can fingerprint: wrong/missing format
+#: version, a missing element key, an unknown enum value, a non-list.
+_MALFORMED = {
+    "BROKEN": {"name": "BROKEN", "elements": [{"bogus": 1}]},
+    "BROKEN_KEY": {"format_version": 1, "name": "BROKEN_KEY", "elements": [{"bogus": 1}]},
+    "BROKEN_KIND": {
+        "format_version": 1,
+        "name": "BROKEN_KIND",
+        "elements": [{"id": "x", "name": "x", "kind": "no-such-kind"}],
+    },
+    "BROKEN_TYPE": {"format_version": 1, "name": "BROKEN_TYPE", "elements": 5},
+}
+
+
+class TestMalformedRecords:
+    """One unreadable stored payload must not take corpus retrieval down."""
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_queries_skip_malformed_records(self, corpus, n_shards):
+        items = []
+        malformed = iter(_MALFORMED.items())
+        for position, name in enumerate(corpus.names[:12]):
+            items.append((name, schema_to_dict(corpus.by_name(name).schema)))
+            if position % 3 == 2:
+                items.append(next(malformed))
+        repo = MetadataRepository()
+        report = bulk_ingest(repo, items, fingerprint=False)
+        assert report.n_written == 16
+        service = MatchService(repository=repo, corpus_shards=n_shards)
+        refresh = service.corpus_index().refresh()
+        assert refresh.n_skipped == 4 and refresh.n_indexed == 12
+        assert set(_MALFORMED).isdisjoint(service.corpus_index().names)
+        assert repo.fingerprint_names() == sorted(corpus.names[:12])
+        response = service.corpus_match(
+            CorpusMatchRequest(source=corpus.names[0], top_k=3)
+        )
+        assert response.candidates
+        assert set(_MALFORMED).isdisjoint(
+            candidate.target_name for candidate in response.candidates
+        )
+
+    def test_a_repaired_record_is_indexed_on_the_next_refresh(self, corpus, caplog):
+        repo = MetadataRepository()
+        for name in corpus.names[:4]:
+            repo.register(corpus.by_name(name).schema)
+        repo.bulk_register_schemas([("BROKEN", _MALFORMED["BROKEN"])])
+        index = CorpusIndex(repo)
+        with caplog.at_level(logging.WARNING, logger="repro.corpus.index"):
+            assert index.refresh().n_skipped == 1
+            # An unrelated write refreshes the shard again: the unchanged
+            # broken payload stays skipped without being re-parsed.
+            repo.register(_renamed(corpus, "D0S1", "ZOTHER"))
+            assert index.refresh().n_skipped == 1
+        assert [r.getMessage().count("'BROKEN'") for r in caplog.records] == [1]
+        repo.register(_renamed(corpus, "D0S0", "BROKEN"))
+        refresh = index.refresh()
+        assert refresh.n_skipped == 0 and refresh.n_derived == 1
+        assert "BROKEN" in index.names
+
+
 class TestRefreshWorker:
     def test_keeps_the_index_fresh(self, corpus, repository):
         sharded = ShardedCorpusIndex(repository, n_shards=3)
@@ -418,11 +497,10 @@ class TestConcurrencyHammer:
         # Convergence: the hammered index equals a from-scratch serial build.
         sharded.refresh()
         assert len(sharded) == len(repo) == 90
-        serial = CorpusIndex(repo)
         query = corpus.by_name("D0S0").schema
         assert sharded.top_candidates(
             query, limit=8, exclude="D0S0"
-        ) == serial.top_candidates(query, limit=8, exclude="D0S0")
+        ) == _reference(repo, query, limit=8, exclude="D0S0")
 
 
 class TestStatsRoundTrips:
@@ -515,11 +593,12 @@ class TestServiceIntegration:
             service.stop_corpus_refresh()
         assert "refresh_worker" not in service.corpus_status()
 
-    def test_unsharded_service_status_has_no_shard_section(self, repository):
+    def test_default_service_status_reports_one_shard(self, repository):
         service = MatchService(repository=repository)
         service.corpus_index().refresh()
         status = service.corpus_status()
-        assert status["initialized"] and "shards" not in status
+        assert status["initialized"] and status["n_shards"] == 1
+        assert [shard["n_indexed"] for shard in status["shards"]] == [90]
         assert status["n_indexed"] == 90
 
     def test_service_validates_corpus_shards(self, repository):

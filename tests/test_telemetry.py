@@ -496,7 +496,7 @@ class TestFleetMetrics:
         corpus = generate_clustered_corpus(
             n_domains=2, schemata_per_domain=3, seed=41
         )
-        with MetadataRepository(path=db_path, backend="pooled") as repository:
+        with MetadataRepository(path=db_path) as repository:
             for generated in corpus.schemata:
                 repository.register(generated.schema)
             names = sorted(repository.schema_names())
