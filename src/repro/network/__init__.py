@@ -12,6 +12,7 @@ from repro.network.graph import (
     GraphRefresh,
     MappingGraph,
     MappingLeg,
+    MatchView,
     NetworkRoute,
     build_adjacency,
     compose_stored,
@@ -22,6 +23,7 @@ __all__ = [
     "GraphRefresh",
     "MappingGraph",
     "MappingLeg",
+    "MatchView",
     "NetworkRoute",
     "build_adjacency",
     "compose_stored",

@@ -21,11 +21,11 @@ mapping network:
   for the same element pair (strongest path wins; the path count is
   recorded in the correspondence note).
 
-The adjacency structure is **cached** and invalidated by the repository's
-two monotone clocks (``generation`` for schemata, ``match_generation``
-for stored matches) -- the same staleness mechanism as
-:class:`~repro.corpus.index.CorpusIndex` -- so repeated routing queries
-over a warm repository never re-scan the store.  ``max_hops=1`` with
+Routing, reuse priors and recall all read one cached :class:`MatchView`
+(decoded matches, a by-pair index, the adjacency), invalidated by the
+repository's two monotone clocks (``generation``, ``match_generation``)
+as :class:`~repro.corpus.index.CorpusIndex` is, so repeated queries over
+a warm repository never re-scan the store.  ``max_hops=1`` with
 ``hop_decay`` irrelevant (one pivot means zero extra hops) reproduces
 ``compose_matches`` exactly; bench E18 holds the warm graph to >= 5x a
 rebuild-per-query loop and pins the k=1 equivalence to 1e-9.
@@ -41,6 +41,7 @@ from typing import NamedTuple, Sequence
 from repro.match.correspondence import Correspondence, MatchStatus
 from repro.repository.provenance import ProvenanceRecord, TrustPolicy
 from repro.repository.store import MetadataRepository, StoredMatch
+from repro.telemetry import span
 
 __all__ = [
     "MappingLeg",
@@ -48,6 +49,7 @@ __all__ = [
     "NetworkRoute",
     "GraphRefresh",
     "MappingGraph",
+    "MatchView",
     "build_adjacency",
     "compose_stored",
 ]
@@ -304,10 +306,73 @@ def compose_stored(
     repository should prefer :class:`MappingGraph`, which caches the
     adjacency across queries.
     """
-    route = _route(
-        build_adjacency(matches), source, target, max_hops, hop_decay, policy, annotate
+    return MatchView.build(None, (), matches).compose(
+        source, target, max_hops, hop_decay, policy, annotate
     )
-    return list(route.correspondences)
+
+
+def _pair_key(first: str, second: str) -> tuple[str, str]:
+    return (first, second) if first <= second else (second, first)
+
+
+@dataclass(frozen=True)
+class MatchView:
+    """Every stored match at one ``(generation, match_generation)``, indexed.
+
+    The one answer to "which stored matches are current": routing, reuse
+    priors and recall all read a view.  It is immutable, so a reader
+    holding one needs no lock and sees one snapshot across many queries.
+    """
+
+    clocks: tuple[int, int] | None  # None = never built
+    nodes: frozenset[str]
+    matches: tuple[StoredMatch, ...]  # id order
+    #: Unordered schema pair -> its rows in id order, both orientations,
+    #: REJECTED rows kept (they are the reuse layer's veto).
+    by_pair: dict[tuple[str, str], tuple[StoredMatch, ...]]
+    adjacency: Adjacency
+    n_edges: int
+    n_legs: int
+
+    @classmethod
+    def build(cls, clocks, nodes, matches: Sequence[StoredMatch]) -> "MatchView":
+        matches = tuple(matches)
+        by_pair: dict[tuple[str, str], list[StoredMatch]] = {}
+        for match in matches:
+            key = _pair_key(match.source_schema, match.target_schema)
+            by_pair.setdefault(key, []).append(match)
+        adjacency = build_adjacency(matches)
+        return cls(
+            clocks=clocks,
+            nodes=frozenset(nodes),
+            matches=matches,
+            by_pair={key: tuple(rows) for key, rows in by_pair.items()},
+            adjacency=adjacency,
+            # Each undirected edge appears under both endpoints.
+            n_edges=sum(len(n) for n in adjacency.values()) // 2,
+            n_legs=sum(len(legs) for n in adjacency.values() for legs in n.values()),
+        )
+
+    def between(self, first: str, second: str) -> tuple[StoredMatch, ...]:
+        """Every stored row between two schemata, either orientation."""
+        return self.by_pair.get(_pair_key(first, second), ())
+
+    def compose(
+        self,
+        source: str,
+        target: str,
+        max_hops: int = 1,
+        hop_decay: float = 1.0,
+        policy: TrustPolicy | None = None,
+        annotate: bool = False,
+    ) -> list[Correspondence]:
+        """Compose source -> target through this view's pivot paths (an
+        unregistered endpoint has no legs, so nothing composes)."""
+        return list(
+            _route(
+                self.adjacency, source, target, max_hops, hop_decay, policy, annotate
+            ).correspondences
+        )
 
 
 @dataclass(frozen=True)
@@ -317,7 +382,7 @@ class GraphRefresh:
     n_nodes: int                   # registered schemata (graph nodes)
     n_edges: int                   # schema pairs with at least one usable leg
     n_legs: int                    # directed traversal legs (2 per stored row)
-    rebuilt: bool                  # False = the cached adjacency was current
+    rebuilt: bool                  # False = the cached view was current
     elapsed_seconds: float
 
 
@@ -340,118 +405,72 @@ class MappingGraph:
             raise ValueError(f"hop_decay must be in (0, 1], got {hop_decay}")
         self.repository = repository
         self.hop_decay = hop_decay
-        self._adjacency: Adjacency = {}
-        self._nodes: frozenset[str] = frozenset()
-        #: The (generation, match_generation) pair the adjacency was built
-        #: at; None means never built.  Either clock moving marks the graph
-        #: stale -- schemata joining/leaving changes the node set, stored
-        #: matches changing rewires the edges.
-        self._built_at: tuple[int, int] | None = None
-        #: (n_nodes, n_edges, n_legs), computed once per rebuild so warm
-        #: refreshes are O(1) instead of re-walking the whole adjacency.
-        self._stats: tuple[int, int, int] = (0, 0, 0)
+        self._view = MatchView.build(None, (), ())
         self.last_refresh: GraphRefresh | None = None
         #: Serialises rebuilds (the serving tier shares one graph across
-        #: request threads); readers see whole-graph snapshots only.
+        #: request threads); readers get whole views only.
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def _clocks(self) -> tuple[int, int]:
-        # One backend call for both clocks: on file-backed stores each
-        # clock read is a real query, and staleness checks run per query.
-        return self.repository.clocks()
-
     def is_stale(self) -> bool:
-        """Whether the repository changed since the adjacency was built."""
-        return self._built_at != self._clocks()
+        """Whether either repository clock moved since the view was built."""
+        return self._view.clocks != self.repository.clocks()
 
     def refresh(self, force: bool = False) -> GraphRefresh:
-        """Bring the cached adjacency in sync with the repository.
+        """Bring the cached view in sync with the repository.
 
-        A warm graph returns immediately without touching the store; a
-        stale one rebuilds from one ``repository.matches()`` scan.
+        A warm graph costs one clock read; a stale one rebuilds from one
+        unfiltered ``repository.matches()`` scan.
         """
         started = time.perf_counter()
-        with self._lock:
-            rebuilt = force or self.is_stale()
+        with self._lock, span("network.refresh") as refresh_span:
+            # Clocks before the scan: a write in between leaves newer rows
+            # under older clocks, which the next refresh rebuilds again.
+            clocks = self.repository.clocks()
+            rebuilt = force or self._view.clocks != clocks
             if rebuilt:
-                clocks = self._clocks()
-                # Build into locals, publish together: a concurrent reader
-                # sees either the old graph or the new one, never a new
-                # node set over a stale adjacency.
-                nodes = frozenset(self.repository.schema_names())
-                adjacency = build_adjacency(self.repository.matches())
-                self._nodes = nodes
-                self._adjacency = adjacency
-                self._built_at = clocks
-                self._stats = (
-                    len(nodes),
-                    # Each undirected edge appears under both endpoints.
-                    sum(len(n) for n in adjacency.values()) // 2,
-                    sum(
-                        len(legs)
-                        for neighbours in adjacency.values()
-                        for legs in neighbours.values()
-                    ),
+                self._view = MatchView.build(
+                    clocks, self.repository.schema_names(), self.repository.matches()
                 )
-            n_nodes, n_edges, n_legs = self._stats
+            view = self._view
+            refresh_span.annotate(rebuilt=rebuilt, n_matches=len(view.matches))
         refresh = GraphRefresh(
-            n_nodes=n_nodes,
-            n_edges=n_edges,
-            n_legs=n_legs,
+            n_nodes=len(view.nodes),
+            n_edges=view.n_edges,
+            n_legs=view.n_legs,
             rebuilt=rebuilt,
             elapsed_seconds=time.perf_counter() - started,
         )
         self.last_refresh = refresh
         return refresh
 
-    def _snapshot(self, *required: str) -> tuple[frozenset[str], "Adjacency"]:
-        """A refreshed, mutually consistent (nodes, adjacency) pair.
-
-        Readers must not touch ``self._nodes`` / ``self._adjacency`` after
-        releasing the lock -- a concurrent rebuild could publish a new
-        graph between the node check and the adjacency walk.  One locked
-        capture hands back a coherent pair (the walk then runs lock-free
-        on the immutable snapshot); ``required`` names raise ``KeyError``
-        against that same snapshot.
-        """
+    def view(self, *required: str) -> MatchView:
+        """The current view, rebuilt first if either clock moved; each
+        ``required`` name raises ``KeyError`` unless registered in it."""
         with self._lock:
             self.refresh()
-            nodes, adjacency = self._nodes, self._adjacency
+            view = self._view
         for name in required:
-            if name not in nodes:
+            if name not in view.nodes:
                 raise KeyError(f"schema {name!r} is not registered")
-        return nodes, adjacency
+        return view
 
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
     @property
     def n_nodes(self) -> int:
-        with self._lock:
-            self.refresh()
-            return self._stats[0]
-
-    @property
-    def n_edges(self) -> int:
-        with self._lock:
-            self.refresh()
-            return self._stats[1]
-
-    def nodes(self) -> list[str]:
-        nodes, _ = self._snapshot()
-        return sorted(nodes)
+        return len(self.view().nodes)
 
     def neighbours(self, name: str) -> list[str]:
         """Schemata sharing at least one usable stored match with ``name``."""
-        _, adjacency = self._snapshot(name)
-        return sorted(adjacency.get(name, ()))
+        return sorted(self.view(name).adjacency.get(name, ()))
 
     def legs(self, source: str, target: str) -> list[MappingLeg]:
         """The traversal legs source -> target (stored either way, flipped)."""
-        _, adjacency = self._snapshot(source, target)
+        adjacency = self.view(source, target).adjacency
         return list(adjacency.get(source, {}).get(target, ()))
 
     # ------------------------------------------------------------------
@@ -465,7 +484,7 @@ class MappingGraph:
             raise ValueError(f"max_hops must be >= 1, got {max_hops}")
         if source == target:
             raise ValueError(f"source and target must differ, both are {source!r}")
-        _, adjacency = self._snapshot(source, target)
+        adjacency = self.view(source, target).adjacency
         return _enumerate_paths(adjacency, source, target, max_hops)
 
     def route(
@@ -484,9 +503,8 @@ class MappingGraph:
         the supporting path count in the note (``annotate=False`` returns
         bare correspondences, byte-compatible with ``compose_matches``).
         """
-        _, adjacency = self._snapshot(source, target)
         return _route(
-            adjacency,
+            self.view(source, target).adjacency,
             source,
             target,
             max_hops,

@@ -306,18 +306,28 @@ class InMemoryBackend:
 # ----------------------------------------------------------------------
 # SQLite plumbing (schema, migrations, row codecs)
 # ----------------------------------------------------------------------
-_INSERT_MATCH = (
-    "INSERT INTO matches (source_schema, target_schema, source_element,"
-    " target_element, score, status, annotation, note, corr_asserted_by,"
-    " asserted_by, method, confidence, sequence, context, prov_note)"
-    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+#: The stored-match columns, in the order of :func:`_match_row`.
+_MATCH_COLUMNS = (
+    "source_schema", "target_schema", "source_element", "target_element",
+    "score", "status", "annotation", "note", "corr_asserted_by",
+    "asserted_by", "method", "confidence", "sequence", "context", "prov_note",
 )
 
+_INSERT_MATCH = (
+    f"INSERT INTO matches ({', '.join(_MATCH_COLUMNS)})"
+    f" VALUES ({', '.join('?' * len(_MATCH_COLUMNS))})"
+)
+
+#: One-row aggregate read (``{where}`` filters): per row, the columns then
+#: the id.  SQLite's JSON keeps 15 digits of a REAL (as does ``quote()``),
+#: so the REAL columns travel as 17-digit text: the same double, always.
 _SELECT_MATCHES = (
-    "SELECT source_schema, target_schema, source_element, target_element,"
-    " score, status, annotation, note, corr_asserted_by, asserted_by,"
-    " method, confidence, sequence, context, prov_note"
-    " FROM matches"
+    "SELECT json_group_array(json_array("
+    + ", ".join(
+        f"printf('%!.17g', {column})" if column in ("score", "confidence") else column
+        for column in _MATCH_COLUMNS
+    )
+    + ", id)) FROM matches {where}"
 )
 
 _BUMP_CLOCK = "UPDATE repo_clocks SET value = value + ? WHERE name = ?"
@@ -437,7 +447,7 @@ def _match_row(match: "StoredMatch") -> tuple:
     )
 
 
-def _stored(row: tuple) -> "StoredMatch":
+def _stored(row: list) -> "StoredMatch":
     from repro.repository.store import StoredMatch
 
     return StoredMatch(
@@ -446,7 +456,7 @@ def _stored(row: tuple) -> "StoredMatch":
         correspondence=Correspondence(
             source_id=row[2],
             target_id=row[3],
-            score=row[4],
+            score=float(row[4]),
             status=MatchStatus(row[5]),
             annotation=SemanticAnnotation(row[6]),
             note=row[7],
@@ -457,7 +467,7 @@ def _stored(row: tuple) -> "StoredMatch":
         provenance=ProvenanceRecord(
             asserted_by=row[9],
             method=AssertionMethod(row[10]),
-            confidence=row[11],
+            confidence=float(row[11]),
             sequence=row[12],
             context=row[13],
             note=row[14],
@@ -734,25 +744,26 @@ class PooledSqliteBackend:
             + [(_BUMP_CLOCK, (1, "match_generation"))]
         )
 
+    def _matches(self, where: str = "", params: tuple = ()) -> list["StoredMatch"]:
+        rows = self._read_json(_SELECT_MATCHES.format(where=where), params)
+        # An OR over two indexes yields rows out of id order.
+        rows.sort(key=lambda row: row[15])
+        return [_stored(row) for row in rows]
+
     def all_matches(self) -> list["StoredMatch"]:
-        return [_stored(row) for row in self._read(_SELECT_MATCHES + " ORDER BY id")]
+        return self._matches()
 
     def matches_touching(self, schema_name: str) -> list["StoredMatch"]:
-        rows = self._read(
-            _SELECT_MATCHES
-            + " WHERE source_schema = ? OR target_schema = ? ORDER BY id",
-            (schema_name, schema_name),
+        return self._matches(
+            "WHERE source_schema = ? OR target_schema = ?", (schema_name, schema_name)
         )
-        return [_stored(row) for row in rows]
 
     def matches_between(self, first: str, second: str) -> list["StoredMatch"]:
-        rows = self._read(
-            _SELECT_MATCHES
-            + " WHERE (source_schema = ? AND target_schema = ?)"
-            "    OR (source_schema = ? AND target_schema = ?) ORDER BY id",
+        return self._matches(
+            "WHERE (source_schema = ? AND target_schema = ?)"
+            " OR (source_schema = ? AND target_schema = ?)",
             (first, second, second, first),
         )
-        return [_stored(row) for row in rows]
 
     # -- corpus fingerprints -------------------------------------------
     def put_fingerprint(self, name: str, payload: dict) -> None:

@@ -32,11 +32,14 @@ The reuse semantics, default weights, and a worked example live in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.match.correspondence import Correspondence, MatchStatus
 from repro.repository.provenance import AssertionMethod, TrustPolicy
-from repro.repository.store import MetadataRepository, StoredMatch
+from repro.repository.store import MetadataRepository
+
+if TYPE_CHECKING:  # pragma: no cover - the network package imports this one
+    from repro.network.graph import MatchView
 
 __all__ = [
     "compose_matches",
@@ -52,7 +55,6 @@ def compose_matches(
     source_schema: str,
     target_schema: str,
     policy: TrustPolicy | None = None,
-    pool: list[StoredMatch] | None = None,
     max_hops: int = 1,
     hop_decay: float = 1.0,
     annotate: bool = False,
@@ -66,15 +68,14 @@ def compose_matches(
     strongest score.  ``max_hops`` > 1 walks longer acyclic pivot chains
     with ``hop_decay`` applied once per pivot beyond the first (see
     :func:`repro.network.graph.compose_stored`, which this delegates to).
-    ``pool`` optionally supplies prefetched stored matches instead of a
-    store scan; ``annotate`` records the winning pivot path in each
-    correspondence's note.
+    ``annotate`` records the winning pivot path in each correspondence's
+    note.  This is the uncached reference (one store scan per call); a
+    :class:`~repro.network.graph.MappingGraph` caches the same work.
     """
     from repro.network.graph import compose_stored
 
-    matches = pool if pool is not None else repository.matches()
     return compose_stored(
-        matches,
+        repository.matches(),
         source_schema,
         target_schema,
         max_hops=max_hops,
@@ -233,10 +234,9 @@ class ReusePolicy:
     # -- gathering priors -----------------------------------------------
     def priors(
         self,
-        repository: MetadataRepository,
+        view: "MatchView",
         source_schema: str,
         target_schema: str,
-        pool: list[StoredMatch] | None = None,
         composed: Sequence[Correspondence] | None = None,
     ) -> dict[tuple[str, str], PriorAssertion]:
         """The strongest usable prior per element pair, both directions.
@@ -248,8 +248,9 @@ class ReusePolicy:
         that a pair with any direct REJECTED assertion is vetoed outright
         (an engineer's "spurious" verdict beats every older prior).
 
-        ``pool`` optionally supplies the prefetched full match list so a
-        corpus-match sweep scans the store once, not once per candidate.
+        ``view`` is one :class:`~repro.network.MatchView` of the mapping
+        graph (a corpus sweep passes one view to all its candidates), so
+        every read comes from one snapshot.
         ``composed`` optionally supplies already-composed candidates (the
         mapping network's multi-hop routes) in place of the single-pivot
         composition this method would otherwise derive itself; they join
@@ -257,33 +258,13 @@ class ReusePolicy:
         """
         candidates: list[PriorAssertion] = []
         rejected: set[tuple[str, str]] = set()
-        direct: list[tuple[StoredMatch, bool]] = []
-        if pool is not None:
-            direct_pool = pool
-        elif composed is not None or not self.include_composed:
-            # No pool and no composition to derive: the indexed pair query
-            # beats a full store scan.
-            direct_pool = repository.matches_between(source_schema, target_schema)
-        else:
-            pool = repository.matches()  # one scan, reused for composition
-            direct_pool = pool
-        for match in direct_pool:
-            if (match.source_schema, match.target_schema) == (
-                source_schema,
-                target_schema,
-            ):
-                direct.append((match, False))
-            elif (match.source_schema, match.target_schema) == (
-                target_schema,
-                source_schema,
-            ):
-                direct.append((match, True))
-        for match, flipped in direct:
+        for match in view.between(source_schema, target_schema):
             correspondence = match.correspondence
+            # Rows stored target -> source are read flipped.
             source_id, target_id = (
-                (correspondence.target_id, correspondence.source_id)
-                if flipped
-                else (correspondence.source_id, correspondence.target_id)
+                (correspondence.source_id, correspondence.target_id)
+                if match.source_schema == source_schema
+                else (correspondence.target_id, correspondence.source_id)
             )
             if correspondence.status is MatchStatus.REJECTED:
                 rejected.add((source_id, target_id))
@@ -302,8 +283,8 @@ class ReusePolicy:
                 )
             )
         if composed is None and self.include_composed:
-            composed = compose_matches(
-                repository, source_schema, target_schema, self.trust, pool=pool
+            composed = view.compose(
+                source_schema, target_schema, max_hops=1, policy=self.trust, annotate=False
             )
         for derived in composed or ():
             candidates.append(
@@ -392,12 +373,11 @@ class ReusePolicy:
 
     def rematch(
         self,
-        repository: MetadataRepository,
+        view: "MatchView",
         source_schema: str,
         target_schema: str,
         fresh: Iterable[Correspondence],
-        pool: list[StoredMatch] | None = None,
     ) -> ReuseOutcome:
         """Gather priors for a registered pair and apply them in one step."""
-        priors = self.priors(repository, source_schema, target_schema, pool=pool)
+        priors = self.priors(view, source_schema, target_schema)
         return self.apply(list(fresh), priors)

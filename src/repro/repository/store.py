@@ -157,7 +157,7 @@ class MetadataRepository:
         return self._backend_clocks()
 
     def _backend_clocks(self) -> tuple[int, int]:
-        with self._read_guard:
+        with span("repository.read", op="clocks"), self._read_guard:
             return self._backend.clocks()
 
     # ------------------------------------------------------------------
@@ -293,7 +293,7 @@ class MetadataRepository:
             return schema_from_dict(payload)
 
     def schema_names(self) -> list[str]:
-        with self._read_guard:
+        with span("repository.read", op="schema_names"), self._read_guard:
             return self._backend.schema_names()
 
     def schema_payload(self, name: str) -> dict:
@@ -478,29 +478,33 @@ class MetadataRepository:
         target_schema: str | None = None,
         policy: TrustPolicy | None = None,
     ) -> list[StoredMatch]:
-        """Query stored matches, optionally trust-filtered."""
-        with span("repository.read", op="matches"), self._read_guard:
-            found = self._backend.all_matches()
-        if source_schema is not None:
-            found = [m for m in found if m.source_schema == source_schema]
-        if target_schema is not None:
-            found = [m for m in found if m.target_schema == target_schema]
-        if policy is not None:
-            found = [m for m in found if policy.trusts(m.provenance)]
-        return found
+        """Query stored matches in id order, optionally trust-filtered (a
+        schema filter reads through the indexed pair or touching query)."""
+        if source_schema is not None and target_schema is not None:
+            found = self.matches_between(source_schema, target_schema)
+        elif source_schema is not None or target_schema is not None:
+            found = self.matches_touching(
+                target_schema if source_schema is None else source_schema
+            )
+        else:
+            with span("repository.read", op="matches"), self._read_guard:
+                found = self._backend.all_matches()
+        return [
+            match
+            for match in found
+            if source_schema in (None, match.source_schema)
+            and target_schema in (None, match.target_schema)
+            and (policy is None or policy.trusts(match.provenance))
+        ]
 
     def matches_touching(self, schema_name: str) -> list[StoredMatch]:
         """All matches with this schema on either side (index-backed on SQLite)."""
-        with self._read_guard:
+        with span("repository.read", op="matches_touching"), self._read_guard:
             return self._backend.matches_touching(schema_name)
 
     def matches_between(self, first: str, second: str) -> list[StoredMatch]:
-        """All matches between two schemata, either orientation.
-
-        The direct-priors query of the reuse layer; on the SQLite backend
-        this is an indexed lookup, not a full table scan.
-        """
-        with self._read_guard:
+        """All matches between two schemata, either orientation (index-backed)."""
+        with span("repository.read", op="matches_between"), self._read_guard:
             return self._backend.matches_between(first, second)
 
     def close(self) -> None:

@@ -731,7 +731,8 @@ class MatchService:
             and source_name is not None
             and source_name in self.repository
         )
-        prior_pool = self.repository.matches() if reuse_applied else None
+        # One snapshot of the stored matches for the whole sweep.
+        view = self.mapping_graph().view() if reuse_applied else None
         candidates: list[CorpusCandidate] = []
         with span("envelope.build"):
             for outcome in outcomes:
@@ -740,11 +741,7 @@ class MatchService:
                 if reuse_applied:
                     with span("reuse.apply", target=outcome.target_name):
                         reused = request.reuse.rematch(
-                            self.repository,
-                            source_name,
-                            outcome.target_name,
-                            correspondences,
-                            pool=prior_pool,
+                            view, source_name, outcome.target_name, correspondences
                         )
                     correspondences = reused.correspondences
                     n_boosted, n_seeded = reused.n_boosted, reused.n_seeded
@@ -786,8 +783,8 @@ class MatchService:
 
         One graph per service; it refreshes itself against the
         repository's generation and match-generation clocks, so repeated
-        :meth:`network_match` calls over a warm repository do no store
-        scans at all.
+        :meth:`network_match`, :meth:`corpus_match` reuse and
+        :meth:`recall` calls over a warm repository do no store scans.
         """
         if self.repository is None:
             raise ValueError("the mapping network requires a bound MetadataRepository")
@@ -828,9 +825,6 @@ class MatchService:
         self, request: NetworkMatchRequest
     ) -> NetworkMatchResponse:
         started = time.perf_counter()
-        for name in (request.source, request.target):
-            if name not in self.repository:
-                raise KeyError(f"schema {name!r} is not registered")
         with span("network.route") as route_span:
             graph = self.mapping_graph()
             route = graph.route(
@@ -863,7 +857,7 @@ class MatchService:
                 reuse = replace(reuse, trust=request.trust)
             with span("reuse.apply"):
                 priors = reuse.priors(
-                    self.repository,
+                    graph.view(),
                     request.source,
                     request.target,
                     composed=route.correspondences,
@@ -1018,14 +1012,14 @@ class MatchService:
         target: str,
         policy: TrustPolicy | None = None,
     ) -> tuple[Correspondence, ...]:
-        """Prior correspondences for a registered pair, trust-filtered."""
+        """Prior correspondences stored source -> target, trust-filtered."""
         if self.repository is None:
             raise ValueError("recall requires a bound MetadataRepository")
         return tuple(
             match.correspondence
-            for match in self.repository.matches(
-                source_schema=source, target_schema=target, policy=policy
-            )
+            for match in self.mapping_graph().view().between(source, target)
+            if (match.source_schema, match.target_schema) == (source, target)
+            and (policy is None or policy.trusts(match.provenance))
         )
 
     # ------------------------------------------------------------------

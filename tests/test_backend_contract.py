@@ -28,12 +28,14 @@ from repro.match import Correspondence, MatchStatus, SemanticAnnotation
 from repro.repository import (
     AssertionMethod,
     InMemoryBackend,
+    MetadataRepository,
     PooledSqliteBackend,
     ProvenanceRecord,
     StorageBackend,
     open_backend,
 )
 from repro.repository.store import StoredMatch
+from repro.schema import Schema
 
 BACKENDS = ("memory", "pooled")
 
@@ -200,6 +202,20 @@ class TestBulkSchemata:
         assert len(fingerprints) == 600
         assert fingerprints["s0599"] == {"hash": "s0599", "terms": {}}
 
+    def test_names_with_a_nul_keep_their_own_rows(self, backend):
+        # A name read from outside (an ingest JSONL line) may carry a NUL;
+        # it must never land on the row of its prefix.
+        names = ["X", "X\x00y"]
+        backend.put_schemas(
+            {name: {"n": name} for name in names},
+            fingerprints={name: {"hash": name, "terms": {}} for name in names},
+        )
+        assert backend.schema_names() == names
+        assert backend.get_schemas(names) == {name: {"n": name} for name in names}
+        assert backend.get_fingerprints(names) == {
+            name: {"hash": name, "terms": {}} for name in names
+        }
+
 
 class TestMatches:
     def test_add_and_read_back_in_insertion_order(self, backend):
@@ -229,6 +245,35 @@ class TestMatches:
     def test_empty_batch_stores_nothing(self, backend):
         backend.add_matches([])
         assert backend.all_matches() == []
+
+    def test_scores_round_trip_bit_exactly(self, backend):
+        """Scores that 15 significant digits cannot hold come back as the
+        same doubles through every read of ``store_matches`` rows."""
+        repository = MetadataRepository(backend=backend)
+        for name in ("a", "b"):
+            repository.register(Schema(name))
+        scores = [0.1 + 0.2, 1 / 3, -1 / 3, 2 / 3, -0.30648313129217297, 5e-324]
+        repository.store_matches(
+            "a",
+            "b",
+            [Correspondence(f"a.{i}", "b.x", score) for i, score in enumerate(scores)],
+            asserted_by="ingrid",
+        )
+        for read in (
+            repository.matches(),
+            repository.matches_between("b", "a"),
+            repository.matches_touching("a"),
+        ):
+            assert [m.correspondence.score for m in read] == scores
+            assert [m.provenance.confidence for m in read] == scores
+
+    def test_text_with_a_nul_round_trips(self, backend):
+        match = _match("a\x00b", "b", "a\x00b.x", "b.\x00", context="c\x00", note="\x00")
+        backend.add_matches([match])
+        assert backend.all_matches() == [match]
+        assert backend.matches_between("b", "a\x00b") == [match]
+        assert backend.matches_touching("a\x00b") == [match]
+        assert backend.matches_touching("a") == []
 
     def test_bulk_write_is_atomic(self, backend):
         """An iterable that raises mid-batch must leave the store untouched."""

@@ -1,6 +1,7 @@
 """The corpus subsystem: index lifecycle, reuse policy, corpus_match."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 
 from repro.corpus import FINGERPRINT_FORMAT_VERSION, CorpusIndex
 from repro.match import Correspondence, MatchStatus, SemanticAnnotation
+from repro.network import MappingGraph, compose_stored
 from repro.repository import (
     AssertionMethod,
     MetadataRepository,
     ReusePolicy,
     TrustPolicy,
 )
+from repro.repository.reuse import PriorAssertion
 from repro.schema import Schema
 from repro.service import (
     CorpusCandidate,
@@ -262,6 +265,49 @@ class TestRepositoryEdgeCases:
             )
 
 
+def _reference_priors(policy, scan, source, target):
+    """ReusePolicy.priors recomputed from a plain store scan."""
+    candidates, rejected = [], set()
+    for match in scan:
+        correspondence = match.correspondence
+        if (match.source_schema, match.target_schema) == (source, target):
+            pair = (correspondence.source_id, correspondence.target_id)
+        elif (match.source_schema, match.target_schema) == (target, source):
+            pair = (correspondence.target_id, correspondence.source_id)
+        else:
+            continue
+        if correspondence.status is MatchStatus.REJECTED:
+            rejected.add(pair)
+            continue
+        if policy.trust is not None and not policy.trust.trusts(match.provenance):
+            continue
+        method = match.provenance.method
+        candidates.append(PriorAssertion(
+            *pair,
+            correspondence.score,
+            policy.weight_for(method) * correspondence.score,
+            method,
+            match.provenance.asserted_by,
+        ))
+    if policy.include_composed:
+        for derived in compose_stored(scan, source, target, policy=policy.trust):
+            candidates.append(PriorAssertion(
+                derived.source_id,
+                derived.target_id,
+                derived.score,
+                policy.composed_weight * derived.score,
+                AssertionMethod.COMPOSED,
+                derived.asserted_by,
+            ))
+    best = {}
+    for prior in candidates:
+        if prior.pair in rejected:
+            continue
+        if prior.pair not in best or prior.weighted_score > best[prior.pair].weighted_score:
+            best[prior.pair] = prior
+    return best
+
+
 class TestReusePolicy:
     def _repo(self):
         repository = MetadataRepository()
@@ -279,7 +325,7 @@ class TestReusePolicy:
             "a", "b", Correspondence("x2", "y2", 0.8), asserted_by="engine",
         )
         fresh = [Correspondence("x1", "y1", 0.4), Correspondence("x2", "y2", 0.4)]
-        outcome = ReusePolicy().rematch(repository, "a", "b", fresh)
+        outcome = ReusePolicy().rematch(MappingGraph(repository).view(), "a", "b", fresh)
         by_pair = {c.pair: c for c in outcome.correspondences}
         assert by_pair[("x1", "y1")].score > by_pair[("x2", "y2")].score > 0.4
         assert outcome.n_boosted == 2
@@ -291,7 +337,7 @@ class TestReusePolicy:
             method=AssertionMethod.HUMAN_VALIDATED,
         )
         outcome = ReusePolicy().rematch(
-            repository, "a", "b", [Correspondence("x", "y", 0.4)]
+            MappingGraph(repository).view(), "a", "b", [Correspondence("x", "y", 0.4)]
         )
         note = outcome.correspondences[0].note
         assert "reuse-boosted" in note
@@ -305,7 +351,7 @@ class TestReusePolicy:
             method=AssertionMethod.HUMAN_VALIDATED,
         )
         outcome = ReusePolicy().rematch(
-            repository, "a", "b", [Correspondence("x", "y", 0.4)]
+            MappingGraph(repository).view(), "a", "b", [Correspondence("x", "y", 0.4)]
         )
         assert outcome.n_boosted == 1
         assert outcome.correspondences[0].score > 0.4
@@ -316,7 +362,7 @@ class TestReusePolicy:
             "a", "b", Correspondence("x", "y", 0.9), asserted_by="alice",
             method=AssertionMethod.HUMAN_VALIDATED,
         )
-        outcome = ReusePolicy().rematch(repository, "a", "b", [])
+        outcome = ReusePolicy().rematch(MappingGraph(repository).view(), "a", "b", [])
         assert outcome.n_seeded == 1
         seeded = outcome.correspondences[0]
         assert seeded.asserted_by == "reuse"
@@ -329,7 +375,7 @@ class TestReusePolicy:
         repository.store_match(
             "a", "b", Correspondence("x", "y", 0.2), asserted_by="engine",
         )
-        outcome = ReusePolicy().rematch(repository, "a", "b", [])
+        outcome = ReusePolicy().rematch(MappingGraph(repository).view(), "a", "b", [])
         # 0.2 x automatic 0.5 x seed_scale 0.8 = 0.08 < seed_floor 0.2
         assert outcome.n_seeded == 0
 
@@ -341,7 +387,7 @@ class TestReusePolicy:
             asserted_by="alice", method=AssertionMethod.HUMAN_VALIDATED,
         )
         outcome = ReusePolicy().rematch(
-            repository, "a", "b", [Correspondence("x", "y", 0.4)]
+            MappingGraph(repository).view(), "a", "b", [Correspondence("x", "y", 0.4)]
         )
         assert outcome.n_boosted == 0
         assert outcome.n_seeded == 0
@@ -361,28 +407,88 @@ class TestReusePolicy:
             asserted_by="alice", method=AssertionMethod.HUMAN_VALIDATED,
         )
         outcome = ReusePolicy().rematch(
-            repository, "a", "b", [Correspondence("x", "y", 0.4)]
+            MappingGraph(repository).view(), "a", "b", [Correspondence("x", "y", 0.4)]
         )
         assert outcome.n_boosted == 0
         assert outcome.n_seeded == 0
         assert outcome.correspondences[0].score == pytest.approx(0.4)
 
-    def test_prefetched_pool_matches_store_scans(self):
-        repository = self._repo()
-        repository.store_match(
-            "a", "b", Correspondence("x", "y", 0.8), asserted_by="alice",
-            method=AssertionMethod.HUMAN_VALIDATED,
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_graph_view_matches_a_fresh_scan(self, repository, seed):
+        """priors/rematch/recall through the mapping graph's cached view
+        equal a reference built from a fresh store scan, over a random
+        history of stores, rejections and unregisters -- and the view
+        rebuilds exactly when the clocks move."""
+        rng = random.Random(seed)
+        names = ["a", "b", "c", "d"]
+        for name in names:
+            repository.register(medical(name))
+        graph = MappingGraph(repository)
+        service = MatchService(repository=repository)
+        policies = (
+            ReusePolicy(),
+            ReusePolicy(include_composed=False),
+            ReusePolicy(trust=TrustPolicy(require_human=True)),
         )
-        repository.store_match(
-            "a", "c", Correspondence("x", "z", 0.7), asserted_by="engine"
-        )
-        repository.store_match(
-            "c", "b", Correspondence("z", "y", 0.6), asserted_by="engine"
-        )
-        policy = ReusePolicy()
-        scanned = policy.priors(repository, "a", "b")
-        pooled = policy.priors(repository, "a", "b", pool=repository.matches())
-        assert scanned == pooled
+        built_at = None
+        for _ in range(20):
+            registered = repository.schema_names()
+            roll = rng.random()
+            if roll < 0.1 and len(registered) > 2:
+                repository.unregister(rng.choice(registered))
+            elif roll < 0.2 and len(registered) < len(names):
+                repository.register(
+                    medical(rng.choice(sorted(set(names) - set(registered))))
+                )
+            elif roll < 0.8:
+                source, target = rng.sample(registered, 2)
+                repository.store_matches(
+                    source,
+                    target,
+                    [
+                        Correspondence(
+                            f"{source}.{rng.choice('xyz')}",
+                            f"{target}.{rng.choice('xyz')}",
+                            rng.uniform(0.1, 1.0),
+                            status=(
+                                MatchStatus.REJECTED
+                                if rng.random() < 0.2
+                                else MatchStatus.CANDIDATE
+                            ),
+                        )
+                        for _ in range(rng.randint(1, 4))
+                    ],
+                    asserted_by=rng.choice(["alice", "engine"]),
+                    method=rng.choice(
+                        [AssertionMethod.HUMAN_VALIDATED, AssertionMethod.AUTOMATIC]
+                    ),
+                )
+            # else: no write, so the view must stay as built.
+            clocks = repository.clocks()
+            assert graph.refresh().rebuilt == (clocks != built_at)
+            built_at = clocks
+            scan = repository.matches()
+            view = graph.view()
+            assert view.matches == tuple(scan)
+            registered = repository.schema_names()
+            for source in registered:
+                for target in registered:
+                    if source == target:
+                        continue
+                    for policy in policies:
+                        expected = _reference_priors(policy, scan, source, target)
+                        assert policy.priors(view, source, target) == expected
+                    fresh = [Correspondence(f"{source}.x", f"{target}.x", 0.5)]
+                    assert policies[0].rematch(
+                        view, source, target, fresh
+                    ) == policies[0].apply(
+                        fresh, _reference_priors(policies[0], scan, source, target)
+                    )
+                    assert service.recall(source, target) == tuple(
+                        m.correspondence
+                        for m in scan
+                        if (m.source_schema, m.target_schema) == (source, target)
+                    )
 
     def test_trust_gate_filters_priors(self):
         repository = self._repo()
@@ -391,7 +497,7 @@ class TestReusePolicy:
         )
         policy = ReusePolicy(trust=TrustPolicy(require_human=True))
         outcome = policy.rematch(
-            repository, "a", "b", [Correspondence("x", "y", 0.4)]
+            MappingGraph(repository).view(), "a", "b", [Correspondence("x", "y", 0.4)]
         )
         assert outcome.n_boosted == 0
         assert outcome.n_priors == 0
@@ -404,12 +510,14 @@ class TestReusePolicy:
         repository.store_match(
             "c", "b", Correspondence("z", "y", 0.7), asserted_by="alice"
         )
-        priors = ReusePolicy().priors(repository, "a", "b")
+        priors = ReusePolicy().priors(MappingGraph(repository).view(), "a", "b")
         assert ("x", "y") in priors
         prior = priors[("x", "y")]
         assert prior.method is AssertionMethod.COMPOSED
         assert prior.weighted_score == pytest.approx(0.35 * 0.7)
-        assert not ReusePolicy(include_composed=False).priors(repository, "a", "b")
+        assert not ReusePolicy(include_composed=False).priors(
+            MappingGraph(repository).view(), "a", "b"
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -446,6 +554,25 @@ class TestCorpusMatchService:
         assert len(response) <= 2
         assert response.best.target_name == "med2"
         assert response.best.correspondences
+
+    def test_warm_corpus_matches_share_one_store_scan(self):
+        service = self._service()
+        service.repository.store_match(
+            "med1", "med2", Correspondence("m.x", "p.y", 0.9), asserted_by="alice"
+        )
+        backend = service.repository.backend
+        scans = []
+        all_matches = backend.all_matches
+        backend.all_matches = lambda: scans.append(1) or all_matches()
+        for _ in range(5):
+            response = service.corpus_match(CorpusMatchRequest(source="med1", top_k=2))
+            assert response.reuse_applied
+        assert len(scans) == 1
+        service.repository.store_match(
+            "med1", "motor", Correspondence("m.x", "v.y", 0.5), asserted_by="alice"
+        )
+        service.corpus_match(CorpusMatchRequest(source="med1", top_k=2))
+        assert len(scans) == 2  # a write moves the clock: one rebuild
 
     def test_inline_source_skips_reuse(self):
         service = self._service()

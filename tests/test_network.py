@@ -264,12 +264,11 @@ class TestComposeMatchesRefactor:
             for pair, score in expected.items():
                 assert actual[pair] == pytest.approx(score, abs=1e-9)
 
-    def test_pool_short_circuits_store_scans(self, chain_repository):
-        pool = chain_repository.matches()
-        from_pool = compose_matches(chain_repository, "a", "c", pool=pool)
-        assert from_pool == compose_matches(chain_repository, "a", "c")
-        # compose_stored works without any repository at all.
-        assert compose_stored(pool, "a", "c") == from_pool
+    def test_compose_stored_needs_no_repository(self, chain_repository):
+        stored = chain_repository.matches()
+        assert compose_stored(stored, "a", "c") == compose_matches(
+            chain_repository, "a", "c"
+        )
 
     def test_multi_hop_through_compose_matches(self, chain_repository):
         composed = compose_matches(
@@ -292,7 +291,9 @@ class TestReusePolicyComposedParameter:
     ):
         policy = ReusePolicy()
         external = [Correspondence("a.x", "d.x", 0.63, asserted_by="composer")]
-        priors = policy.priors(chain_repository, "a", "d", composed=external)
+        priors = policy.priors(
+            MappingGraph(chain_repository).view(), "a", "d", composed=external
+        )
         assert priors[("a.x", "d.x")].method is AssertionMethod.COMPOSED
         assert priors[("a.x", "d.x")].weighted_score == pytest.approx(
             policy.composed_weight * 0.63
@@ -306,7 +307,9 @@ class TestReusePolicyComposedParameter:
         )
         policy = ReusePolicy()
         external = [Correspondence("a.x", "d.x", 0.99, asserted_by="composer")]
-        priors = policy.priors(chain_repository, "a", "d", composed=external)
+        priors = policy.priors(
+            MappingGraph(chain_repository).view(), "a", "d", composed=external
+        )
         assert ("a.x", "d.x") not in priors
 
 
