@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from repro.match.matrix import MatchMatrix
 from repro.matchers.profile import FeatureSpace, SchemaProfile
@@ -119,33 +118,20 @@ def candidate_pairs(
 ) -> CandidateSet:
     """Retrieve candidate pairs via shared-token inverted indexes.
 
-    One sparse incidence product per blocking key; the union of the
-    per-key survivor sets is returned in canonical (row-major) order.
+    One incidence product per blocking key; a pair survives when any key
+    counts at least ``min_shared`` shared tokens, and the survivors are
+    returned in canonical (row-major) order.
     """
     policy = policy if policy is not None else BlockingPolicy()
-    accumulated: sparse.spmatrix | None = None
+    survivors = np.zeros((len(source), len(target)), dtype=bool)
     for key in policy.keys:
-        kind = _KIND_ALIASES.get(key, key)
-        # Build both features before materialising either (building the
-        # second side may grow the shared vocabulary, and the widths must
-        # agree for the product), all under one space lock -- interning by
-        # any other thread in between would desynchronise them too.  The
-        # product runs on the immutable snapshots, outside the lock.
-        with space.lock:
-            source_feature = space.feature(source, kind)
-            target_feature = space.feature(target, kind)
-            source_matrix = source_feature.matrix()
-            target_matrix = target_feature.matrix()
-        counts = source_matrix @ target_matrix.T
-        # Integer counts: "> min_shared - 1" is ">= min_shared" without the
-        # inefficient sparse >= comparison.
-        survivors = counts > (policy.min_shared - 0.5)
-        accumulated = survivors if accumulated is None else accumulated + survivors
-    coo = accumulated.tocsr().tocoo()
+        counts = space.set_product(source, target, _KIND_ALIASES.get(key, key))
+        survivors |= counts.toarray() >= policy.min_shared
+    rows, cols = np.nonzero(survivors)
     return CandidateSet(
         shape=(len(source), len(target)),
-        rows=coo.row.astype(np.int64),
-        cols=coo.col.astype(np.int64),
+        rows=rows.astype(np.int64),
+        cols=cols.astype(np.int64),
     )
 
 

@@ -6,9 +6,12 @@ section 3.2 describes Harmony's realisation of it: linguistic preprocessing
 several match voters each emitting evidence-aware confidences, and a vote
 merger producing the final match score per pair.
 
-The engine is stateless apart from a profile cache, so one engine instance
+The engine is stateless apart from a profile cache and a feature cache (a
+:class:`~repro.matchers.profile.FeatureSpace`), so one engine instance
 serves repeated (incremental) match operations over the same schemata --
-exactly the concept-at-a-time workflow of section 3.3.
+exactly the concept-at-a-time workflow of section 3.3 -- without
+re-tokenising: each increment is scored from the cached features, as a
+grid of its own.
 
 Execution is *staged*: Stage 1 above is the cheap ensemble, scoring the
 full (restricted) pair grid exactly; with a
@@ -113,7 +116,7 @@ class MatchResult:
 
 
 class HarmonyMatchEngine:
-    """Composable match engine (voters + merger), with a profile cache.
+    """Composable match engine (voters + merger), with profile and feature caches.
 
     Parameters
     ----------
@@ -133,6 +136,11 @@ class HarmonyMatchEngine:
         the Stage-2 oracle (budgeted, most-ambiguous-first).  ``None``
         keeps the pipeline single-stage and bit-identical to the
         pre-cascade engine.
+    space:
+        A shared :class:`~repro.matchers.profile.FeatureSpace` the voters
+        read their cached features from (a service passes the one its
+        batch runners share); the engine owns a private space when
+        omitted.
     """
 
     def __init__(
@@ -141,6 +149,7 @@ class HarmonyMatchEngine:
         merger: VoteMerger | None = None,
         profile_cache: dict[int, SchemaProfile] | None = None,
         cascade: CascadeExecutor | None = None,
+        space: FeatureSpace | None = None,
     ):
         if voters is None:
             self.voters = default_voters()
@@ -158,6 +167,7 @@ class HarmonyMatchEngine:
             profile_cache if profile_cache is not None else {}
         )
         self.cascade = cascade
+        self.space = space if space is not None else FeatureSpace()
 
     def profile(self, schema: Schema) -> SchemaProfile:
         """Profile a schema once; later calls reuse the cache."""
@@ -211,7 +221,11 @@ class HarmonyMatchEngine:
         stacked = np.stack(
             [
                 voter.vote(
-                    source_profile, target_profile, source_positions, target_positions
+                    source_profile,
+                    target_profile,
+                    source_positions,
+                    target_positions,
+                    space=self.space,
                 ).confidence
                 for voter in self.voters
             ]
@@ -267,13 +281,12 @@ class HarmonyMatchEngine:
         target_profile = self.profile(target)
         rows = source_profile.positions_of([source_id])
         cols = target_profile.positions_of([target_id])
-        space = FeatureSpace()
         breakdown: dict[str, dict[str, float]] = {}
         confidences = []
         for voter in self.voters:
             if voter.supports_block:
                 similarity, evidence = voter.fast_ratios(
-                    source_profile, target_profile, space, rows, cols
+                    source_profile, target_profile, self.space, rows, cols
                 )
             else:
                 similarity, evidence = voter.ratios(

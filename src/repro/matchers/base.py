@@ -23,31 +23,45 @@ configured ambiguity band then escalate to a Stage-2
 most-ambiguous-first; see :mod:`repro.cascade` and ``docs/cascade.md``.
 With no cascade configured, Stage 1 is the entire pipeline.
 
-Bulk fast path
---------------
-For corpus-scale batch matching, voters additionally expose
-:meth:`MatchVoter.score_block` (full confidence matrix from cached
-:class:`~repro.matchers.profile.FeatureSpace` matrices) and
-:meth:`MatchVoter.score_pairs` (confidences for an explicit candidate pair
-list, as produced by :mod:`repro.batch.blocking` -- the pairs Stage 1
-scores; everything blocked out takes the fill value and never escalates).
-Vectorised voters implement :meth:`MatchVoter.fast_ratios`; everything
-else transparently falls back to the per-grid :meth:`MatchVoter.vote`
-path, so both APIs are total over any voter ensemble.
+Cached-feature kernels
+----------------------
+Every vectorised voter reads one shared
+:class:`~repro.matchers.profile.FeatureSpace` (features built once per
+schema, reused by every match) through two kernels:
+
+* :meth:`MatchVoter.grid_ratios` -- the 2-D source x target grid, full or
+  restricted to given positions (rows and columns are sliced *before* the
+  sparse products).  :meth:`MatchVoter.vote` and
+  :meth:`MatchVoter.score_block` run it.
+* :meth:`MatchVoter.fast_ratios` -- 1-D, at an explicit candidate pair
+  list as produced by :mod:`repro.batch.blocking` (the pairs Stage 1
+  scores; everything blocked out takes the fill value and never
+  escalates).  :meth:`MatchVoter.score_pairs` runs it.
+
+Per-pair voters (edit distance, instances) have no cached features; they
+implement :meth:`MatchVoter.ratios`, and both APIs fall back to it, so they
+are total over any voter ensemble.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from abc import ABC
 from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
 import numpy as np
 
-from repro.matchers.profile import FeatureSpace, SchemaProfile
+from repro.matchers.profile import FeatureSpace, SchemaProfile, gather_pairs
 from repro.voting.confidence import DEFAULT_TAU, confidence_array
 
-__all__ = ["VoterOpinion", "MatchVoter", "subset", "gather_outer"]
+__all__ = [
+    "VoterOpinion",
+    "MatchVoter",
+    "SetOverlapVoter",
+    "subset",
+    "take",
+    "gather_outer",
+]
 
 _ItemT = TypeVar("_ItemT")
 
@@ -87,6 +101,11 @@ def subset(items: Sequence[_ItemT], positions: np.ndarray | None) -> list[_ItemT
     return [items[position] for position in positions]
 
 
+def take(values: np.ndarray, positions: np.ndarray | None) -> np.ndarray:
+    """A per-element vector at the requested positions (or all of it)."""
+    return values if positions is None else values[positions]
+
+
 def gather_outer(
     operation,
     left: np.ndarray,
@@ -103,9 +122,10 @@ def gather_outer(
 class MatchVoter(ABC):
     """Base class for match voters.
 
-    Subclasses implement :meth:`ratios` returning (similarity, evidence)
-    matrices; the base class derives confidences with the shared tau so all
-    voters speak the same evidence dialect.
+    Subclasses implement the cached-feature kernels :meth:`grid_ratios`
+    and :meth:`fast_ratios` (per-pair voters: :meth:`ratios`) returning
+    (similarity, evidence) arrays; the base class derives confidences with
+    the shared tau so all voters speak the same evidence dialect.
 
     Calibration
     -----------
@@ -164,7 +184,6 @@ class MatchVoter(ABC):
         above = 0.5 + 0.5 * (clipped - self.neutral) / (1.0 - self.neutral)
         return np.where(clipped < self.neutral, below, above)
 
-    @abstractmethod
     def ratios(
         self,
         source: SchemaProfile,
@@ -172,14 +191,36 @@ class MatchVoter(ABC):
         source_positions: np.ndarray | None = None,
         target_positions: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Return (similarity, evidence) matrices for the restricted grid."""
+        """(similarity, evidence) for the restricted grid, from the profiles.
+
+        Only per-pair voters (no cached features to read) implement this;
+        cached-feature voters implement :meth:`grid_ratios` instead.
+        """
+        raise NotImplementedError(f"{type(self).__name__} has no per-pair kernel")
+
+    def grid_ratios(
+        self,
+        source: SchemaProfile,
+        target: SchemaProfile,
+        space: FeatureSpace,
+        source_positions: np.ndarray | None = None,
+        target_positions: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(similarity, evidence) over the grid from cached feature matrices.
+
+        The grid is full, or restricted to the given source/target
+        positions; a restricted grid is scored as a grid of its own
+        (corpus-fit statistics and structural context come from inside
+        it), not as a slice of the full grid.  Outputs are 2-D.
+        """
+        raise NotImplementedError(f"{type(self).__name__} has no cached-feature kernel")
 
     def confidences(self, similarity: np.ndarray, evidence: np.ndarray) -> np.ndarray:
         """Map (similarity, evidence) arrays of any shape to confidences.
 
-        Shared by the per-grid :meth:`vote` path and the bulk
-        :meth:`score_block` / :meth:`score_pairs` fast path, so both speak
-        exactly the same calibration dialect.
+        Shared by the grid kernels (:meth:`vote`, :meth:`score_block`) and
+        the pair kernel (:meth:`score_pairs`), so both speak exactly the
+        same calibration dialect.
         """
         calibrated = self.calibrate(similarity)
         if self.evidence_blind:
@@ -198,11 +239,25 @@ class MatchVoter(ABC):
         target: SchemaProfile,
         source_positions: np.ndarray | None = None,
         target_positions: np.ndarray | None = None,
+        space: FeatureSpace | None = None,
     ) -> VoterOpinion:
-        """Produce the full evidence-aware opinion for the pair grid."""
-        similarity, evidence = self.ratios(
-            source, target, source_positions, target_positions
-        )
+        """Produce the full evidence-aware opinion for the pair grid.
+
+        Cached-feature voters read ``space`` (a private one when omitted);
+        per-pair voters score from the profiles alone.
+        """
+        if self.supports_block:
+            similarity, evidence = self.grid_ratios(
+                source,
+                target,
+                space if space is not None else FeatureSpace(),
+                source_positions,
+                target_positions,
+            )
+        else:
+            similarity, evidence = self.ratios(
+                source, target, source_positions, target_positions
+            )
         return VoterOpinion(
             voter=self.name,
             confidence=self.confidences(similarity, evidence),
@@ -216,22 +271,20 @@ class MatchVoter(ABC):
         source: SchemaProfile,
         target: SchemaProfile,
         space: FeatureSpace,
-        rows: np.ndarray | None = None,
-        cols: np.ndarray | None = None,
+        rows: np.ndarray,
+        cols: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(similarity, evidence) from cached feature matrices.
+        """(similarity, evidence) at explicit (row, col) pairs (1-D).
 
-        ``rows is None`` means the full grid (2-D outputs); otherwise the
-        outputs are 1-D, aligned with the candidate (rows, cols) pairs.
-        Vectorised voters override this; the base class signals "no fast
-        path" so callers fall back to :meth:`vote`.
+        The pairs are scored against the full schemata: structure keeps
+        its parent and child context, documentation its full-schema IDF.
         """
         raise NotImplementedError(f"{type(self).__name__} has no bulk fast path")
 
     @property
     def supports_block(self) -> bool:
-        """Whether this voter implements the cached-feature fast path."""
-        return type(self).fast_ratios is not MatchVoter.fast_ratios
+        """Whether this voter implements the cached-feature kernels."""
+        return type(self).grid_ratios is not MatchVoter.grid_ratios
 
     def score_block(
         self,
@@ -239,18 +292,8 @@ class MatchVoter(ABC):
         target: SchemaProfile,
         space: FeatureSpace | None = None,
     ) -> np.ndarray:
-        """Bulk confidence matrix over the full source x target grid.
-
-        Equals ``vote(source, target).confidence`` (within float tolerance)
-        but is computed from the :class:`FeatureSpace` caches: no per-call
-        re-tokenization, vocabulary building, or canonicalisation.  Voters
-        without a fast path fall back to the per-grid :meth:`vote`.
-        """
-        if not self.supports_block:
-            return self.vote(source, target).confidence
-        space = space if space is not None else FeatureSpace()
-        similarity, evidence = self.fast_ratios(source, target, space)
-        return self.confidences(similarity, evidence)
+        """Bulk confidence matrix over the full source x target grid."""
+        return self.vote(source, target, space=space).confidence
 
     def score_pairs(
         self,
@@ -277,3 +320,59 @@ class MatchVoter(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r}, tau={self.tau})"
+
+
+class SetOverlapVoter(MatchVoter):
+    """Jaccard (or Dice) over one cached set feature of the FeatureSpace.
+
+    Evidence is the smaller set size: a pair can only agree on as many
+    tokens as its terser side has, and pairs with an empty side carry
+    zero evidence and therefore vote 0 (complete uncertainty).
+    """
+
+    #: The :class:`FeatureSpace` set kind compared.
+    kind: str = "name"
+    #: Dice (2|A∩B| / (|A|+|B|)) instead of Jaccard.
+    dice: bool = False
+    #: Synonym lexicon for the ``canonical`` kind (None for the others).
+    lexicon = None
+
+    def _overlap(
+        self,
+        counts: np.ndarray,
+        source_sizes: np.ndarray,
+        target_sizes: np.ndarray,
+        rows: np.ndarray | None = None,
+        cols: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        totals = gather_outer(np.add, source_sizes, target_sizes, rows, cols)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            if self.dice:
+                similarity = np.where(totals > 0, 2.0 * counts / totals, 0.0)
+            else:
+                unions = totals - counts
+                similarity = np.where(unions > 0, counts / unions, 0.0)
+        evidence = gather_outer(np.minimum, source_sizes, target_sizes, rows, cols)
+        return similarity, evidence
+
+    def grid_ratios(
+        self, source, target, space, source_positions=None, target_positions=None
+    ):
+        product = space.set_product(
+            source, target, self.kind, self.lexicon, source_positions, target_positions
+        )
+        return self._overlap(
+            product.toarray(),
+            take(space.set_sizes(source, self.kind, self.lexicon), source_positions),
+            take(space.set_sizes(target, self.kind, self.lexicon), target_positions),
+        )
+
+    def fast_ratios(self, source, target, space, rows, cols):
+        product = space.set_product(source, target, self.kind, self.lexicon)
+        return self._overlap(
+            gather_pairs(product, rows, cols),
+            space.set_sizes(source, self.kind, self.lexicon),
+            space.set_sizes(target, self.kind, self.lexicon),
+            rows,
+            cols,
+        )

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.matchers.base import MatchVoter, gather_outer, subset
-from repro.schema.datatypes import DataType, compatibility_matrix, family_table
+from repro.matchers.base import MatchVoter, take
+from repro.schema.datatypes import family_table
 
 __all__ = ["DataTypeVoter"]
 
@@ -34,30 +34,24 @@ class DataTypeVoter(MatchVoter):
             raise ValueError(f"evidence_mass must be positive, got {evidence_mass}")
         self.evidence_mass = evidence_mass
 
-    def ratios(self, source, target, source_positions=None, target_positions=None):
-        source_types = subset(source.data_types, source_positions)
-        target_types = subset(target.data_types, target_positions)
-        similarity = compatibility_matrix(source_types, target_types)
-        source_known = np.array(
-            [data_type is not DataType.UNKNOWN for data_type in source_types]
-        )
-        target_known = np.array(
-            [data_type is not DataType.UNKNOWN for data_type in target_types]
-        )
-        both_known = source_known[:, None] & target_known[None, :]
-        evidence = np.where(both_known, self.evidence_mass, 0.0)
-        return similarity, evidence
-
-    def fast_ratios(self, source, target, space, rows=None, cols=None):
+    def grid_ratios(
+        self, source, target, space, source_positions=None, target_positions=None
+    ):
         table, _ = family_table()
-        source_ids = space.type_ids(source)
-        target_ids = space.type_ids(target)
-        if rows is None:
-            similarity = table[np.ix_(source_ids, target_ids)]
-        else:
-            similarity = table[source_ids[rows], target_ids[cols]]
-        both_known = gather_outer(
-            np.logical_and, space.type_known(source), space.type_known(target), rows, cols
+        similarity = table[
+            np.ix_(
+                take(space.type_ids(source), source_positions),
+                take(space.type_ids(target), target_positions),
+            )
+        ]
+        both_known = np.logical_and.outer(
+            take(space.type_known(source), source_positions),
+            take(space.type_known(target), target_positions),
         )
-        evidence = np.where(both_known, self.evidence_mass, 0.0)
-        return similarity, evidence
+        return similarity, np.where(both_known, self.evidence_mass, 0.0)
+
+    def fast_ratios(self, source, target, space, rows, cols):
+        table, _ = family_table()
+        similarity = table[space.type_ids(source)[rows], space.type_ids(target)[cols]]
+        both_known = space.type_known(source)[rows] & space.type_known(target)[cols]
+        return similarity, np.where(both_known, self.evidence_mass, 0.0)

@@ -17,39 +17,53 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.matchers.base import MatchVoter, gather_outer, subset
-from repro.matchers.profile import SchemaProfile
-from repro.text.tfidf import tfidf_similarity_matrix
+from repro.matchers.base import MatchVoter, take
+from repro.matchers.profile import gather_pairs
 
 __all__ = ["DocumentationVoter", "DescribingTextVoter"]
 
 
-class DocumentationVoter(MatchVoter):
+class _TfidfVoter(MatchVoter):
+    """TF-IDF cosine over one cached bag feature; evidence is the smaller
+    token count of the pair."""
+
+    #: The :class:`~repro.matchers.profile.FeatureSpace` bag kind compared.
+    kind = "doc"
+
+    def _lengths(self, space, profile):
+        return space.doc_lengths(profile) if self.kind == "doc" else space.text_lengths(profile)
+
+    def grid_ratios(
+        self, source, target, space, source_positions=None, target_positions=None
+    ):
+        cosine = space.tfidf_product(
+            source, target, self.kind, source_positions, target_positions
+        ).toarray()
+        evidence = np.minimum.outer(
+            take(self._lengths(space, source), source_positions),
+            take(self._lengths(space, target), target_positions),
+        )
+        return np.clip(cosine, 0.0, 1.0, out=cosine), evidence
+
+    def fast_ratios(self, source, target, space, rows, cols):
+        cosine = gather_pairs(space.tfidf_product(source, target, self.kind), rows, cols)
+        evidence = np.minimum(
+            self._lengths(space, source)[rows], self._lengths(space, target)[cols]
+        )
+        return np.clip(cosine, 0.0, 1.0, out=cosine), evidence
+
+
+class DocumentationVoter(_TfidfVoter):
     """TF-IDF cosine over documentation terms only."""
 
     name = "documentation"
+    kind = "doc"
 
     def __init__(self, tau: float = 6.0, neutral: float = 0.25, negative_scale: float = 0.5):
         super().__init__(tau=tau, neutral=neutral, negative_scale=negative_scale)
 
-    def ratios(self, source, target, source_positions=None, target_positions=None):
-        source_docs = subset(source.doc_terms, source_positions)
-        target_docs = subset(target.doc_terms, target_positions)
-        similarity = tfidf_similarity_matrix(source_docs, target_docs)
-        source_sizes = np.array([len(terms) for terms in source_docs], dtype=float)
-        target_sizes = np.array([len(terms) for terms in target_docs], dtype=float)
-        evidence = np.minimum(source_sizes[:, None], target_sizes[None, :])
-        return similarity, evidence
 
-    def fast_ratios(self, source, target, space, rows=None, cols=None):
-        similarity = space.tfidf_cosine(source, target, "doc", rows=rows, cols=cols)
-        evidence = gather_outer(
-            np.minimum, space.doc_lengths(source), space.doc_lengths(target), rows, cols
-        )
-        return similarity, evidence
-
-
-class DescribingTextVoter(MatchVoter):
+class DescribingTextVoter(_TfidfVoter):
     """TF-IDF cosine over name *and* documentation terms combined.
 
     Useful when documentation is sparse: the name tokens keep the vector
@@ -57,22 +71,7 @@ class DescribingTextVoter(MatchVoter):
     """
 
     name = "describing_text"
+    kind = "text"
 
     def __init__(self, tau: float = 6.0, neutral: float = 0.25, negative_scale: float = 0.5):
         super().__init__(tau=tau, neutral=neutral, negative_scale=negative_scale)
-
-    def ratios(self, source, target, source_positions=None, target_positions=None):
-        source_texts = subset(source.text_terms, source_positions)
-        target_texts = subset(target.text_terms, target_positions)
-        similarity = tfidf_similarity_matrix(source_texts, target_texts)
-        source_sizes = np.array([len(terms) for terms in source_texts], dtype=float)
-        target_sizes = np.array([len(terms) for terms in target_texts], dtype=float)
-        evidence = np.minimum(source_sizes[:, None], target_sizes[None, :])
-        return similarity, evidence
-
-    def fast_ratios(self, source, target, space, rows=None, cols=None):
-        similarity = space.tfidf_cosine(source, target, "text", rows=rows, cols=cols)
-        evidence = gather_outer(
-            np.minimum, space.text_lengths(source), space.text_lengths(target), rows, cols
-        )
-        return similarity, evidence

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.matchers.base import MatchVoter, gather_outer, subset
-from repro.matchers.profile import SchemaProfile
-from repro.matchers.setsim import dice_matrix, jaccard_matrix
+from repro.matchers.base import MatchVoter, SetOverlapVoter, subset, take
 from repro.text.similarity import levenshtein_similarity
 
 __all__ = ["ExactNameVoter", "NameTokenVoter", "NgramVoter", "EditDistanceVoter"]
@@ -37,87 +35,49 @@ class ExactNameVoter(MatchVoter):
     def __init__(self, tau: float = 3.0, neutral: float = 0.5, negative_scale: float = 0.15):
         super().__init__(tau=tau, neutral=neutral, negative_scale=negative_scale)
 
-    def ratios(self, source, target, source_positions=None, target_positions=None):
-        source_names = subset(source.raw_names, source_positions)
-        target_names = subset(target.raw_names, target_positions)
-        similarity = np.zeros((len(source_names), len(target_names)))
-        target_index: dict[str, list[int]] = {}
-        for col, target_name in enumerate(target_names):
-            target_index.setdefault(target_name, []).append(col)
-        for row, source_name in enumerate(source_names):
-            for col in target_index.get(source_name, ()):
-                similarity[row, col] = 1.0
-        # An exact full-name equality is strong evidence; a mere inequality
-        # says little (names differ across conventions all the time), so the
-        # evidence mass is high only where names coincide.
-        evidence = np.where(similarity == 1.0, 8.0, 0.5)
-        return similarity, evidence
-
-    def fast_ratios(self, source, target, space, rows=None, cols=None):
-        equal = gather_outer(
-            np.equal, space.raw_name_ids(source), space.raw_name_ids(target), rows, cols
-        )
+    # An exact full-name equality is strong evidence; a mere inequality says
+    # little (names differ across conventions all the time), so the evidence
+    # mass is high only where names coincide.
+    @staticmethod
+    def _equality(equal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return equal.astype(float), np.where(equal, 8.0, 0.5)
 
+    def grid_ratios(
+        self, source, target, space, source_positions=None, target_positions=None
+    ):
+        return self._equality(
+            np.equal.outer(
+                take(space.raw_name_ids(source), source_positions),
+                take(space.raw_name_ids(target), target_positions),
+            )
+        )
 
-class NameTokenVoter(MatchVoter):
+    def fast_ratios(self, source, target, space, rows, cols):
+        return self._equality(
+            space.raw_name_ids(source)[rows] == space.raw_name_ids(target)[cols]
+        )
+
+
+class NameTokenVoter(SetOverlapVoter):
     """Jaccard over normalised name terms (the workhorse linguistic voter)."""
 
     name = "name_token"
+    kind = "name"
 
     def __init__(self, tau: float = 3.0, neutral: float = 0.2, negative_scale: float = 0.4):
         super().__init__(tau=tau, neutral=neutral, negative_scale=negative_scale)
 
-    def ratios(self, source, target, source_positions=None, target_positions=None):
-        source_terms = subset(source.name_terms, source_positions)
-        target_terms = subset(target.name_terms, target_positions)
-        similarity = jaccard_matrix(source_terms, target_terms)
-        source_sizes = np.array([len(set(terms)) for terms in source_terms], dtype=float)
-        target_sizes = np.array([len(set(terms)) for terms in target_terms], dtype=float)
-        # Evidence is the smaller token-set size: a pair can only agree on as
-        # many tokens as its terser name has.  Pairs with an empty side carry
-        # zero evidence and therefore vote 0 (complete uncertainty).
-        evidence = np.minimum(source_sizes[:, None], target_sizes[None, :])
-        return similarity, evidence
 
-    def fast_ratios(self, source, target, space, rows=None, cols=None):
-        counts = space.pair_counts(source, target, "name", rows=rows, cols=cols)
-        source_sizes = space.set_sizes(source, "name")
-        target_sizes = space.set_sizes(target, "name")
-        unions = gather_outer(np.add, source_sizes, target_sizes, rows, cols) - counts
-        with np.errstate(invalid="ignore", divide="ignore"):
-            similarity = np.where(unions > 0, counts / unions, 0.0)
-        evidence = gather_outer(np.minimum, source_sizes, target_sizes, rows, cols)
-        return similarity, evidence
-
-
-class NgramVoter(MatchVoter):
+class NgramVoter(SetOverlapVoter):
     """Dice over character 3-grams of raw names (typo/truncation tolerant)."""
 
     name = "name_ngram"
+    kind = "gram"
+    dice = True
 
     def __init__(self, tau: float = 12.0, neutral: float = 0.3, negative_scale: float = 0.25):
         # Gram counts are larger than token counts, so saturation is slower.
         super().__init__(tau=tau, neutral=neutral, negative_scale=negative_scale)
-
-    def ratios(self, source, target, source_positions=None, target_positions=None):
-        source_grams = subset(source.name_grams, source_positions)
-        target_grams = subset(target.name_grams, target_positions)
-        similarity = dice_matrix(source_grams, target_grams)
-        source_sizes = np.array([len(set(grams)) for grams in source_grams], dtype=float)
-        target_sizes = np.array([len(set(grams)) for grams in target_grams], dtype=float)
-        evidence = np.minimum(source_sizes[:, None], target_sizes[None, :])
-        return similarity, evidence
-
-    def fast_ratios(self, source, target, space, rows=None, cols=None):
-        counts = space.pair_counts(source, target, "gram", rows=rows, cols=cols)
-        source_sizes = space.set_sizes(source, "gram")
-        target_sizes = space.set_sizes(target, "gram")
-        totals = gather_outer(np.add, source_sizes, target_sizes, rows, cols)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            similarity = np.where(totals > 0, 2.0 * counts / totals, 0.0)
-        evidence = gather_outer(np.minimum, source_sizes, target_sizes, rows, cols)
-        return similarity, evidence
 
 
 class EditDistanceVoter(MatchVoter):

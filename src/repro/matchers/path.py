@@ -8,53 +8,16 @@ which is what separates ``Person/Name`` from ``Operation/Name``.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.matchers.base import MatchVoter, gather_outer
-from repro.matchers.profile import SchemaProfile
-from repro.matchers.setsim import jaccard_matrix
+from repro.matchers.base import SetOverlapVoter
 
 __all__ = ["PathVoter"]
 
 
-class PathVoter(MatchVoter):
+class PathVoter(SetOverlapVoter):
     """Jaccard over the union of the element's and its ancestors' name terms."""
 
     name = "path"
+    kind = "path"
 
     def __init__(self, tau: float = 4.0, neutral: float = 0.2, negative_scale: float = 0.3):
         super().__init__(tau=tau, neutral=neutral, negative_scale=negative_scale)
-
-    @staticmethod
-    def _path_terms(profile: SchemaProfile, positions: np.ndarray | None) -> list[list[str]]:
-        chosen = (
-            positions if positions is not None else np.arange(len(profile), dtype=int)
-        )
-        documents: list[list[str]] = []
-        for position in chosen:
-            terms: list[str] = list(profile.name_terms[position])
-            cursor = profile.parent_index[position]
-            while cursor != -1:
-                terms.extend(profile.name_terms[cursor])
-                cursor = profile.parent_index[cursor]
-            documents.append(terms)
-        return documents
-
-    def ratios(self, source, target, source_positions=None, target_positions=None):
-        source_paths = self._path_terms(source, source_positions)
-        target_paths = self._path_terms(target, target_positions)
-        similarity = jaccard_matrix(source_paths, target_paths)
-        source_sizes = np.array([len(set(terms)) for terms in source_paths], dtype=float)
-        target_sizes = np.array([len(set(terms)) for terms in target_paths], dtype=float)
-        evidence = np.minimum(source_sizes[:, None], target_sizes[None, :])
-        return similarity, evidence
-
-    def fast_ratios(self, source, target, space, rows=None, cols=None):
-        counts = space.pair_counts(source, target, "path", rows=rows, cols=cols)
-        source_sizes = space.set_sizes(source, "path")
-        target_sizes = space.set_sizes(target, "path")
-        unions = gather_outer(np.add, source_sizes, target_sizes, rows, cols) - counts
-        with np.errstate(invalid="ignore", divide="ignore"):
-            similarity = np.where(unions > 0, counts / unions, 0.0)
-        evidence = gather_outer(np.minimum, source_sizes, target_sizes, rows, cols)
-        return similarity, evidence

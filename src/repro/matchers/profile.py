@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +45,7 @@ __all__ = [
     "build_profile",
     "TokenInterner",
     "FeatureSpace",
+    "gather_pairs",
 ]
 
 
@@ -202,14 +203,25 @@ class _Feature:
     indices: np.ndarray
     data: np.ndarray
     interner: TokenInterner
+    _materialised: sparse.csr_matrix | None = field(default=None, repr=False)
 
     def matrix(self) -> sparse.csr_matrix:
-        """Materialise at the interner's *current* width."""
+        """Materialise at the interner's *current* width.
+
+        Kept until the vocabulary grows: every match against this profile
+        reuses one matrix instead of re-validating the CSR arrays.  Rows
+        are stored sorted and duplicate-free (canonical CSR), so no sparse
+        operation ever rewrites the shared arrays in place.
+        """
         width = max(len(self.interner), 1)
-        return sparse.csr_matrix(
-            (self.data, self.indices, self.indptr),
-            shape=(len(self.indptr) - 1, width),
-        )
+        cached = self._materialised
+        if cached is None or cached.shape[1] != width:
+            cached = sparse.csr_matrix(
+                (self.data, self.indices, self.indptr),
+                shape=(len(self.indptr) - 1, width),
+            )
+            self._materialised = cached
+        return cached
 
     @property
     def row_sizes(self) -> np.ndarray:
@@ -222,7 +234,7 @@ def _set_feature(documents: Sequence[Sequence[str]], interner: TokenInterner) ->
     indptr = [0]
     indices: list[int] = []
     for document in documents:
-        indices.extend(interner.intern(token) for token in set(document))
+        indices.extend(sorted(interner.intern(token) for token in set(document)))
         indptr.append(len(indices))
     return _Feature(
         indptr=np.asarray(indptr, dtype=np.int64),
@@ -238,9 +250,12 @@ def _bag_feature(documents: Sequence[Sequence[str]], interner: TokenInterner) ->
     indices: list[int] = []
     data: list[float] = []
     for document in documents:
-        for token, count in Counter(document).items():
-            indices.append(interner.intern(token))
-            data.append(float(count))
+        row = sorted(
+            (interner.intern(token), float(count))
+            for token, count in Counter(document).items()
+        )
+        indices.extend(token_id for token_id, _ in row)
+        data.extend(count for _, count in row)
         indptr.append(len(indices))
     return _Feature(
         indptr=np.asarray(indptr, dtype=np.int64),
@@ -268,7 +283,7 @@ def _path_documents(profile: SchemaProfile) -> list[list[str]]:
 _DENSE_GATHER_LIMIT = 4_000_000
 
 
-def _gather_pairs(
+def gather_pairs(
     product: sparse.spmatrix, rows: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
     """Values of a sparse pair-product at explicit (row, col) pairs.
@@ -415,16 +430,6 @@ class FeatureSpace:
                     self._pinned[id(lexicon)] = lexicon
             return cached
 
-    def set_matrix(
-        self,
-        profile: SchemaProfile,
-        kind: str,
-        lexicon: SynonymLexicon | None = None,
-    ) -> sparse.csr_matrix:
-        """Materialised CSR feature matrix at the current vocabulary width."""
-        with self.lock:
-            return self.feature(profile, kind, lexicon).matrix()
-
     def set_sizes(
         self,
         profile: SchemaProfile,
@@ -434,37 +439,53 @@ class FeatureSpace:
         """Per-element set sizes for a *set* feature kind."""
         return self.feature(profile, kind, lexicon).row_sizes
 
-    def pair_counts(
+    def _matrices(
         self,
         source: SchemaProfile,
         target: SchemaProfile,
         kind: str,
         lexicon: SynonymLexicon | None = None,
-        rows: np.ndarray | None = None,
-        cols: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Pairwise intersection counts for a set feature kind.
+        source_positions: np.ndarray | None = None,
+        target_positions: np.ndarray | None = None,
+    ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+        """Both sides' feature matrices at one vocabulary width, restricted
+        to the given rows (all rows for None).
 
-        Builds (or reuses) both sides' incidence matrices, then one sparse
-        product.  Materialisation happens after both builds so the widths
-        agree even though the shared vocabulary grows.  With ``rows``/
-        ``cols`` given, only those pairs' counts are gathered (1-D) --
-        the sparse product is never densified, keeping candidate-restricted
-        work proportional to the candidates.
+        Builds BOTH features before materialising either (building the
+        second side may grow the vocabulary), all under the lock; the
+        products callers run on the snapshots are pure reads and run
+        outside it, so concurrent matches don't queue behind the math.
         """
-        # Build BOTH features before materialising either (building the
-        # second side may grow the vocabulary), all under the lock; the
-        # product itself is pure reads of the immutable snapshots and runs
-        # outside it, so concurrent matches don't queue behind the math.
         with self.lock:
             source_feature = self.feature(source, kind, lexicon)
             target_feature = self.feature(target, kind, lexicon)
             source_matrix = source_feature.matrix()
             target_matrix = target_feature.matrix()
-        product = source_matrix @ target_matrix.T
-        if rows is None:
-            return product.toarray()
-        return _gather_pairs(product, rows, cols)
+        if source_positions is not None:
+            source_matrix = source_matrix[source_positions]
+        if target_positions is not None:
+            target_matrix = target_matrix[target_positions]
+        return source_matrix, target_matrix
+
+    def set_product(
+        self,
+        source: SchemaProfile,
+        target: SchemaProfile,
+        kind: str,
+        lexicon: SynonymLexicon | None = None,
+        source_positions: np.ndarray | None = None,
+        target_positions: np.ndarray | None = None,
+    ) -> sparse.csr_matrix:
+        """Pairwise intersection counts of a set feature, as a sparse product.
+
+        Rows and columns are sliced *before* the product, so a restricted
+        grid costs in proportion to its own size.  Densify it for a grid,
+        or :func:`gather_pairs` it at candidate pairs.
+        """
+        source_matrix, target_matrix = self._matrices(
+            source, target, kind, lexicon, source_positions, target_positions
+        )
+        return source_matrix @ target_matrix.T
 
     # -- derived per-profile vectors ------------------------------------
     def _vector(self, profile: SchemaProfile, key: str, build) -> np.ndarray:
@@ -521,58 +542,47 @@ class FeatureSpace:
             ),
         )
 
-    # -- pair-level TF-IDF ---------------------------------------------
-    def document_frequencies(
-        self, profile: SchemaProfile, kind: str
-    ) -> np.ndarray:
-        """Per-token document frequencies of a bag feature, at current width."""
-        with self.lock:
-            feature = self.feature(profile, kind)
-            width = max(len(feature.interner), 1)
-            return np.bincount(feature.indices, minlength=width).astype(np.float64)
-
-    def tfidf_cosine(
+    # -- TF-IDF ---------------------------------------------------------
+    def tfidf_product(
         self,
         source: SchemaProfile,
         target: SchemaProfile,
         kind: str,
-        rows: np.ndarray | None = None,
-        cols: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """TF-IDF cosine (dense grid, or 1-D at the given pairs), IDF fit
-        over the union of both sides.
+        source_positions: np.ndarray | None = None,
+        target_positions: np.ndarray | None = None,
+    ) -> sparse.csr_matrix:
+        """TF-IDF cosines of a bag feature as a sparse product, IDF fit over
+        the (restricted) rows and columns only.
 
-        Reproduces :func:`repro.text.tfidf.tfidf_similarity_matrix` exactly
-        (same smoothed-IDF formula, same L2 normalisation) from the cached
-        count matrices: global-vocabulary columns absent from this pair have
-        zero counts on both sides and cannot contribute.
+        Reproduces :func:`repro.text.tfidf.tfidf_similarity_matrix` over
+        those documents (same smoothed-IDF formula, same L2 normalisation)
+        from the cached count matrices: global-vocabulary columns absent
+        from them have zero counts on both sides and cannot contribute.
+        Bag rows store one entry per distinct token, so a bincount of the
+        column indices is each token's document frequency.
         """
-        # Build both features, then snapshot both count matrices and the
-        # frequency vector at one vocabulary width, all under the lock;
-        # the TF-IDF math below is lock-free.
-        with self.lock:
-            source_feature = self.feature(source, kind)
-            target_feature = self.feature(target, kind)
-            source_counts = source_feature.matrix()
-            target_counts = target_feature.matrix()
-            df = self.document_frequencies(source, kind) + self.document_frequencies(
-                target, kind
-            )
+        source_counts, target_counts = self._matrices(
+            source, target, kind, None, source_positions, target_positions
+        )
+        width = source_counts.shape[1]
+        df = np.bincount(source_counts.indices, minlength=width) + np.bincount(
+            target_counts.indices, minlength=width
+        )
         n_documents = source_counts.shape[0] + target_counts.shape[0]
         idf = np.log((1.0 + n_documents) / (1.0 + df)) + 1.0
 
         def weighted(counts: sparse.csr_matrix) -> sparse.csr_matrix:
-            weighted_counts = counts.multiply(idf[None, :]).tocsr()
+            # Row-wise L2-normalised count * idf, on the stored entries only.
+            n_rows = counts.shape[0]
+            rows = np.repeat(np.arange(n_rows), np.diff(counts.indptr))
+            weights = counts.data * idf[counts.indices]
             norms = np.sqrt(
-                np.asarray(weighted_counts.multiply(weighted_counts).sum(axis=1))
-            ).ravel()
+                np.bincount(rows, weights=weights * weights, minlength=n_rows)
+            )
             norms[norms == 0.0] = 1.0
-            return sparse.diags(1.0 / norms) @ weighted_counts
+            return sparse.csr_matrix(
+                (weights * (1.0 / norms)[rows], counts.indices, counts.indptr),
+                shape=counts.shape,
+            )
 
-        product = weighted(source_counts) @ weighted(target_counts).T
-        if rows is None:
-            cosine = product.toarray()
-        else:
-            cosine = _gather_pairs(product, rows, cols)
-        np.clip(cosine, 0.0, 1.0, out=cosine)
-        return cosine
+        return weighted(source_counts) @ weighted(target_counts).T

@@ -10,11 +10,13 @@ Linguistic voters treat elements independently; structure says otherwise:
   ``Operation/Name``;
 * a container against a leaf is a mild structural contradiction.
 
-The voter computes its own internal linguistic base (thesaurus-canonicalised
-name-token Jaccard) so it is self-contained and usable in ablations, at the
-cost of one extra sparse product per run.  All bulk assignments are
-vectorised; the only Python-level loop is over container x container pairs
-(hundreds, not the 10^6 full grid).
+The voter computes its own internal linguistic base (the thesaurus voter's
+canonicalised name-token Jaccard, from the shared canonical feature cache)
+so it is self-contained and usable in ablations, at the cost of one extra
+sparse product per run.  A restricted grid takes children and parents from
+inside the grid only.  All bulk assignments are vectorised; the only
+Python-level loop is over container x container pairs (hundreds, not the
+10^6 full grid).
 """
 
 from __future__ import annotations
@@ -23,10 +25,15 @@ import numpy as np
 
 from repro.matchers.base import MatchVoter
 from repro.matchers.profile import SchemaProfile
-from repro.matchers.setsim import jaccard_matrix
+from repro.matchers.thesaurus import ThesaurusVoter
 from repro.text.thesaurus import SynonymLexicon
 
 __all__ = ["StructuralVoter"]
+
+
+def _grid(profile: SchemaProfile, positions: np.ndarray | None) -> np.ndarray:
+    """The grid's element positions (every element when unrestricted)."""
+    return positions if positions is not None else np.arange(len(profile), dtype=int)
 
 
 class StructuralVoter(MatchVoter):
@@ -45,23 +52,8 @@ class StructuralVoter(MatchVoter):
         super().__init__(tau=tau, neutral=neutral, negative_scale=negative_scale)
         self.lexicon = lexicon if lexicon is not None else SynonymLexicon.default()
         self.leaf_context_evidence = leaf_context_evidence
-
-    def _base_similarity(
-        self,
-        source: SchemaProfile,
-        target: SchemaProfile,
-        source_positions: np.ndarray,
-        target_positions: np.ndarray,
-    ) -> np.ndarray:
-        source_terms = [
-            [self.lexicon.canonical(term) for term in source.name_terms[position]]
-            for position in source_positions
-        ]
-        target_terms = [
-            [self.lexicon.canonical(term) for term in target.name_terms[position]]
-            for position in target_positions
-        ]
-        return jaccard_matrix(source_terms, target_terms)
+        #: The linguistic base: thesaurus-canonicalised name-token Jaccard.
+        self._names = ThesaurusVoter(lexicon=self.lexicon)
 
     @staticmethod
     def _grid_children(
@@ -76,19 +68,19 @@ class StructuralVoter(MatchVoter):
             for position in grid
         ]
 
-    def ratios(self, source, target, source_positions=None, target_positions=None):
-        source_grid = (
-            source_positions
-            if source_positions is not None
-            else np.arange(len(source), dtype=int)
+    def grid_ratios(
+        self, source, target, space, source_positions=None, target_positions=None
+    ):
+        base, _ = self._names.grid_ratios(
+            source, target, space, source_positions, target_positions
         )
-        target_grid = (
-            target_positions
-            if target_positions is not None
-            else np.arange(len(target), dtype=int)
+        return self._ratios_from_base(
+            base,
+            source,
+            target,
+            _grid(source, source_positions),
+            _grid(target, target_positions),
         )
-        base = self._base_similarity(source, target, source_grid, target_grid)
-        return self._ratios_from_base(base, source, target, source_grid, target_grid)
 
     def _ratios_from_base(
         self,
@@ -98,10 +90,9 @@ class StructuralVoter(MatchVoter):
         source_grid: np.ndarray,
         target_grid: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Structural similarity/evidence given the linguistic base matrix.
+        """Structural similarity/evidence over a grid given its linguistic base.
 
-        Shared by the per-grid path (base from :func:`jaccard_matrix`) and
-        the cached-feature fast path (base from one sparse product).
+        Children and parents count only where they lie inside the grid.
         """
         source_in_grid = {position: row for row, position in enumerate(source_grid)}
         target_in_grid = {position: col for col, position in enumerate(target_grid)}
@@ -174,16 +165,6 @@ class StructuralVoter(MatchVoter):
 
         return similarity, evidence
 
-    # -- cached-feature fast path ---------------------------------------
-    def _fast_base(self, source, target, space) -> np.ndarray:
-        """The linguistic base from cached canonical incidence matrices."""
-        counts = space.pair_counts(source, target, "canonical", lexicon=self.lexicon)
-        source_sizes = space.set_sizes(source, "canonical", lexicon=self.lexicon)
-        target_sizes = space.set_sizes(target, "canonical", lexicon=self.lexicon)
-        unions = source_sizes[:, None] + target_sizes[None, :] - counts
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(unions > 0, counts / unions, 0.0)
-
     @staticmethod
     def _container_pair_scores(
         base: np.ndarray,
@@ -238,17 +219,8 @@ class StructuralVoter(MatchVoter):
         evidence = np.minimum(kid_counts_s[inverse_rows], kid_counts_t[inverse_cols])
         return similarity, evidence
 
-    def fast_ratios(self, source, target, space, rows=None, cols=None):
-        base = self._fast_base(source, target, space)
-        if rows is None:
-            return self._ratios_from_base(
-                base,
-                source,
-                target,
-                np.arange(len(source), dtype=int),
-                np.arange(len(target), dtype=int),
-            )
-
+    def fast_ratios(self, source, target, space, rows, cols):
+        base, _ = self._names.grid_ratios(source, target, space)
         source_children = source.children_index
         target_children = target.children_index
         is_container_s = np.fromiter(

@@ -14,20 +14,17 @@ exactly once (raw expansion would inflate set sizes asymmetrically).
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.matchers.base import MatchVoter, gather_outer
-from repro.matchers.profile import SchemaProfile
-from repro.matchers.setsim import jaccard_matrix
+from repro.matchers.base import SetOverlapVoter
 from repro.text.thesaurus import SynonymLexicon
 
 __all__ = ["ThesaurusVoter"]
 
 
-class ThesaurusVoter(MatchVoter):
+class ThesaurusVoter(SetOverlapVoter):
     """Jaccard over canonicalised (synonym-classed) name terms."""
 
     name = "thesaurus"
+    kind = "canonical"
 
     def __init__(
         self,
@@ -38,37 +35,3 @@ class ThesaurusVoter(MatchVoter):
     ):
         super().__init__(tau=tau, neutral=neutral, negative_scale=negative_scale)
         self.lexicon = lexicon if lexicon is not None else SynonymLexicon.default()
-
-    def _canonical_terms(
-        self, profile: SchemaProfile, positions: np.ndarray | None
-    ) -> list[list[str]]:
-        chosen = (
-            positions if positions is not None else np.arange(len(profile), dtype=int)
-        )
-        documents: list[list[str]] = []
-        for position in chosen:
-            documents.append(
-                [self.lexicon.canonical(term) for term in profile.name_terms[position]]
-            )
-        return documents
-
-    def ratios(self, source, target, source_positions=None, target_positions=None):
-        source_terms = self._canonical_terms(source, source_positions)
-        target_terms = self._canonical_terms(target, target_positions)
-        similarity = jaccard_matrix(source_terms, target_terms)
-        source_sizes = np.array([len(set(terms)) for terms in source_terms], dtype=float)
-        target_sizes = np.array([len(set(terms)) for terms in target_terms], dtype=float)
-        evidence = np.minimum(source_sizes[:, None], target_sizes[None, :])
-        return similarity, evidence
-
-    def fast_ratios(self, source, target, space, rows=None, cols=None):
-        counts = space.pair_counts(
-            source, target, "canonical", lexicon=self.lexicon, rows=rows, cols=cols
-        )
-        source_sizes = space.set_sizes(source, "canonical", lexicon=self.lexicon)
-        target_sizes = space.set_sizes(target, "canonical", lexicon=self.lexicon)
-        unions = gather_outer(np.add, source_sizes, target_sizes, rows, cols) - counts
-        with np.errstate(invalid="ignore", divide="ignore"):
-            similarity = np.where(unions > 0, counts / unions, 0.0)
-        evidence = gather_outer(np.minimum, source_sizes, target_sizes, rows, cols)
-        return similarity, evidence

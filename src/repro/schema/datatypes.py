@@ -22,7 +22,6 @@ __all__ = [
     "parse_sql_type",
     "parse_xsd_type",
     "compatibility",
-    "compatibility_matrix",
     "family_table",
 ]
 
@@ -181,7 +180,7 @@ def compatibility(left: DataType, right: DataType) -> float:
 def family_table() -> tuple[np.ndarray, dict[DataType, int]]:
     """The dense family-by-family compatibility table plus the index mapping.
 
-    Built once; the batch fast path gathers from it directly.  Treat the
+    Built once; the datatype voter's kernels gather from it directly.  Treat the
     returned array as read-only.
     """
     families = list(DataType)
@@ -191,15 +190,3 @@ def family_table() -> tuple[np.ndarray, dict[DataType, int]]:
         for col, right in enumerate(families):
             table[row, col] = compatibility(left, right)
     return table, family_index
-
-
-def compatibility_matrix(
-    left_types: list[DataType], right_types: list[DataType]
-) -> np.ndarray:
-    """Vectorised compatibility for all pairs of two type lists."""
-    table, family_index = family_table()
-    left_ids = np.array([family_index[family] for family in left_types], dtype=int)
-    right_ids = np.array([family_index[family] for family in right_types], dtype=int)
-    if left_ids.size == 0 or right_ids.size == 0:
-        return np.zeros((left_ids.size, right_ids.size))
-    return table[np.ix_(left_ids, right_ids)]

@@ -620,6 +620,15 @@ class MatchRequestHandler(BaseHTTPRequestHandler):
                 raise _RequestError(404, f"not registered: {exc}") from exc
             except (ValueError, TypeError) as exc:
                 raise _RequestError(400, str(exc)) from exc
+            finally:
+                # The inline schemata this request decoded are fresh objects
+                # no later request passes again: keep them out of the
+                # service's shared profile and feature caches.
+                self.server.service.release(
+                    ref
+                    for ref in (request.source, getattr(request, "target", None))
+                    if isinstance(ref, Schema)
+                )
             with span("cache.put"):
                 self.server.cache.put(key, envelope, clocks)
         return 200, envelope, "miss", ambient

@@ -229,6 +229,7 @@ class MatchService:
                     merger=options.build_merger(),
                     profile_cache=self._profiles,
                     cascade=self.cascade_executor(options.cascade),
+                    space=self.space,
                 )
                 self._engines[options] = engine
             return engine
@@ -289,10 +290,7 @@ class MatchService:
         with self._lock:
             generation = self.repository.generation
             if self._registered_generation != generation:
-                for schema in self._registered.values():
-                    profile = self._profiles.pop(id(schema), None)
-                    if profile is not None:
-                        self.space.evict(profile)
+                self.release(self._registered.values())
                 self._registered.clear()
                 self._registered_generation = generation
             schema = self._registered.get(name)
@@ -305,6 +303,19 @@ class MatchService:
             with self._lock:
                 schema = self._registered.setdefault(name, built)
         return schema
+
+    def release(self, schemata: Iterable[Schema]) -> None:
+        """Drop the schemata's cached profiles and shared-space features.
+
+        For schema objects no caller will pass again: superseded
+        registered schemata, and the inline schemata a served request
+        decoded.  Live objects a caller keeps passing should stay cached.
+        """
+        with self._lock:
+            for schema in schemata:
+                profile = self._profiles.pop(id(schema), None)
+                if profile is not None:
+                    self.space.evict(profile)
 
     def _resolve_registry(
         self, schemata: Mapping[str, SchemaRef]

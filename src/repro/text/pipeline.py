@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache, lru_cache
 from typing import Iterable
 
 from repro.text.abbrev import AbbreviationTable
@@ -106,17 +107,26 @@ class LinguisticPipeline:
         self._min_token_length = min_token_length
 
     @classmethod
+    @cache
     def for_names(cls) -> "LinguisticPipeline":
-        """The default pipeline for element names (schema stopwords on)."""
+        """The shared default pipeline for element names (schema stopwords on)."""
         return cls(schema_stopwords=True)
 
     @classmethod
+    @cache
     def for_documentation(cls) -> "LinguisticPipeline":
-        """The default pipeline for documentation prose."""
+        """The shared default pipeline for documentation prose."""
         return cls(schema_stopwords=False)
 
     def terms(self, text: str) -> list[str]:
-        """Run the full pipeline on a raw string, returning normalised terms."""
+        """Run the full pipeline on a raw string, returning normalised terms.
+
+        Memoised: names and documentation repeat across elements and schemata.
+        """
+        return list(self._terms(text))
+
+    @lru_cache(maxsize=1 << 15)
+    def _terms(self, text: str) -> tuple[str, ...]:
         tokens = tokenize(
             text, drop_digits=self._drop_digits, min_length=self._min_token_length
         )
@@ -128,7 +138,7 @@ class LinguisticPipeline:
         ]
         if self._use_stemming:
             tokens = [stem(token) for token in tokens]
-        return tokens
+        return tuple(tokens)
 
     def bag(self, text: str) -> TermBag:
         """Run the pipeline and package the result as a :class:`TermBag`."""

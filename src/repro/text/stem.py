@@ -11,6 +11,7 @@ The only public entry points are :func:`stem` and :func:`stem_all`.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable
 
 __all__ = ["stem", "stem_all"]
@@ -192,10 +193,12 @@ def _step_5b(word: str) -> str:
     return word
 
 
+@lru_cache(maxsize=1 << 16)
 def stem(word: str) -> str:
     """Return the Porter stem of ``word`` (lowercased first).
 
     Words of length <= 2 are returned unchanged, per the original algorithm.
+    Memoised: schema vocabularies repeat across elements and schemata.
 
     >>> stem("relational")
     'relat'

@@ -12,6 +12,7 @@ abbreviation table, it is extensible without mutating the shared default.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Sequence
 
 from repro.text.stem import stem
@@ -129,7 +130,9 @@ class SynonymLexicon:
                 self._canonical[term] = representative
 
     @classmethod
+    @cache
     def default(cls) -> "SynonymLexicon":
+        """The built-in lexicon, one shared instance (lexicons never change)."""
         return cls(DEFAULT_SYNSETS)
 
     @classmethod

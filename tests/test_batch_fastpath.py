@@ -103,7 +103,7 @@ class TestScoreBlock:
         # must agree with the dense gather bit for bit.
         from scipy import sparse
 
-        from repro.matchers.profile import _DENSE_GATHER_LIMIT, _gather_pairs
+        from repro.matchers.profile import _DENSE_GATHER_LIMIT, gather_pairs
 
         rng = np.random.default_rng(3)
         shape = (4000, 1200)
@@ -111,11 +111,11 @@ class TestScoreBlock:
         product = sparse.random(*shape, density=0.001, format="csr", rng=rng)
         rows = rng.integers(0, shape[0], 5000)
         cols = rng.integers(0, shape[1], 5000)
-        gathered = _gather_pairs(product, rows, cols)
+        gathered = gather_pairs(product, rows, cols)
         assert np.array_equal(gathered, product.toarray()[rows, cols])
         empty = sparse.csr_matrix(shape)
         assert np.array_equal(
-            _gather_pairs(empty, rows, cols), np.zeros(rows.size)
+            gather_pairs(empty, rows, cols), np.zeros(rows.size)
         )
 
     def test_feature_space_is_reused(self, small_profiles):

@@ -122,6 +122,33 @@ class TestEngine:
                 matrix.score(source_id, target_id), abs=1e-9
             ), (source_id, target_id)
 
+    def test_explain_reuses_the_engine_feature_space(
+        self, sample_relational, sample_xml, monkeypatch
+    ):
+        import repro.matchers.profile as profile_module
+
+        built = []
+        for name in ("_set_feature", "_bag_feature"):
+            original = getattr(profile_module, name)
+            monkeypatch.setattr(
+                profile_module,
+                name,
+                lambda documents, interner, _original=original: built.append(
+                    interner
+                )
+                or _original(documents, interner),
+            )
+        engine = HarmonyMatchEngine()
+        pair = ("person_master.birth_dt", "individual.dateofbirth")
+        engine.explain(sample_relational, sample_xml, *pair)
+        after_first = len(built)
+        assert after_first > 0
+        engine.explain(sample_relational, sample_xml, *pair)
+        engine.explain(
+            sample_relational, sample_xml, "person_master.blood_type_cd", pair[1]
+        )
+        assert len(built) == after_first
+
 
 class TestIncrementalMatcher:
     def test_increments_tracked(self, sample_relational, sample_xml):

@@ -224,6 +224,77 @@ class TestMatchServer:
             assert ours.pair == theirs.pair
             assert abs(ours.score - theirs.score) <= SCORE_TOLERANCE
 
+    def test_inline_requests_leave_the_shared_caches_flat(
+        self, served, corpus_schemata
+    ):
+        """Every inline schema decodes to a fresh object that no later
+        request passes again; the server releases it once the response is
+        built, so inline traffic cannot grow the service's profile cache or
+        its shared feature space."""
+        from repro.schema.serialize import schema_from_dict, schema_to_dict
+
+        _, client, service = served
+        options = {execution: MatchOptions(execution=execution) for execution in ("exact", "batch")}
+
+        def renamed(schema, round_number):
+            # A distinct inline schema per round: every request misses the
+            # response cache and runs (with the same compiled options).
+            payload = schema_to_dict(schema)
+            payload["name"] = f"{schema.name}_inline{round_number}"
+            return schema_from_dict(payload)
+
+        def sizes():
+            return (
+                len(service._profiles),
+                len(service.space._features),
+                len(service.space._pinned),
+            )
+
+        def send(round_number):
+            source = renamed(corpus_schemata[0], round_number)
+            target = renamed(corpus_schemata[1], round_number)
+            for execution in ("exact", "batch"):
+                client.match(
+                    MatchRequest(source=source, target=target, options=options[execution])
+                )
+                assert client.last_cache_status == "miss"
+            client.corpus_match(CorpusMatchRequest(source=source, top_k=2))
+            assert client.last_cache_status == "miss"
+
+        send(0)  # registered candidates of /corpus-match stay cached
+        baseline = sizes()
+        for round_number in range(1, 11):
+            send(round_number)
+        assert sizes() == baseline
+
+    def test_new_options_values_reuse_the_cached_features(self, served):
+        """Each distinct options value compiles its own engine and runner,
+        but every default ensemble shares one synonym lexicon, so a client
+        varying the threshold re-derives no canonical feature and pins
+        nothing new in the shared feature space."""
+        _, client, service = served
+        space = service.space
+
+        def sizes():
+            return (len(space._features), len(space._pinned), len(space._interners))
+
+        def send(threshold):
+            for execution in ("exact", "batch"):
+                client.match(
+                    MatchRequest(
+                        source="D0S0",
+                        target="D0S1",
+                        options=MatchOptions(threshold=threshold, execution=execution),
+                    )
+                )
+                assert client.last_cache_status == "miss"
+
+        send(0.10)
+        baseline = sizes()
+        for step in range(1, 11):
+            send(0.10 + 0.01 * step)
+        assert sizes() == baseline
+
     def test_repeated_request_served_from_cache(self, served):
         _, client, _ = served
         request = MatchRequest(source="D0S0", target="D0S1")
