@@ -14,10 +14,11 @@ sharded corpus subsystem at that scale and holds it to four contracts:
   rather than a disk sync per commit, and the rate ratio (reported,
   best of three paired runs) is too small to separate batched from
   unbatched ingest on a noisy host;
-* **exactness** -- sharded top-k scores equal those of the reference
-  ``SchemaSearchEngine`` over one unsharded ``SchemaIndex`` of the same
-  registry to 1e-9 at 1k and at 10k (the implementation is
-  bit-identical; the bench asserts the looser published tolerance);
+* **exactness** -- sharded top-k scores equal those of the exhaustive
+  reference engine (``tests/reference_bm25.py``) over one unsharded
+  ``SchemaIndex`` of the same registry to 1e-9 at 1k and at 10k (the
+  implementation is bit-identical; the bench asserts the looser
+  published tolerance);
 * **flat retrieval** -- p50 ``top_candidates`` latency grows <= 1.5x
   from 1k to 10k schemata.  The corpus scales by ADDING domains at
   constant domain size (:func:`~repro.synthetic.generate_scaled_corpus`
@@ -41,8 +42,9 @@ from collections import Counter
 from repro.corpus import CorpusRefreshWorker, ShardedCorpusIndex, bulk_ingest
 from repro.repository import MetadataRepository
 from repro.schema.serialize import schema_from_dict, schema_to_dict
-from repro.search import SchemaIndex, SchemaQuery, SchemaSearchEngine
+from repro.search import SchemaIndex, SchemaQuery
 from repro.synthetic import generate_scaled_corpus
+from tests.reference_bm25 import ReferenceSearchEngine
 
 N_SMALL = 1_000
 N_LARGE = 10_000
@@ -84,14 +86,14 @@ def _write_transactions(statements: list[str]) -> int:
     return sum(1 for sql in statements if sql.strip().upper() == "BEGIN IMMEDIATE")
 
 
-def _reference_engine(repository) -> SchemaSearchEngine:
-    """``SchemaSearchEngine`` over one unsharded index of the persisted
-    fingerprints (the term bags the sharded index is built from)."""
+def _reference_engine(repository) -> ReferenceSearchEngine:
+    """The exhaustive reference engine over one unsharded index of the
+    persisted fingerprints (the term bags the sharded index is built from)."""
     index = SchemaIndex()
     names = repository.schema_names()
     for name, fingerprint in repository.get_fingerprints(names).items():
         index.add_entry(name, Counter(fingerprint["terms"]))
-    return SchemaSearchEngine(index)
+    return ReferenceSearchEngine(index)
 
 
 def _measure_queries(index, corpus, names: list[str]) -> list[float]:

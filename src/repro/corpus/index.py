@@ -16,15 +16,14 @@ schemata".  :class:`ShardedCorpusIndex` is that stage, bound to a
   re-profiling a single schema.
 * **Shards** -- the index partitions fingerprints across ``n_shards``
   hash ranges (:func:`shard_of_name` maps the 32-bit prefix of the name's
-  SHA-256 onto contiguous ranges; a domain-aware ``shard_assign``
-  callable may override).  Every schema lives in exactly ONE shard, so
-  global corpus statistics (document count, document frequency, total
-  term mass) are plain sums over shards -- which is what lets per-shard
-  retrieval merge into top-k results whose BM25 scores are *identical*
-  to :class:`~repro.search.rank.SchemaSearchEngine` over one index of the
-  same registry (bit-for-bit: same arithmetic, same term order, same
-  tie-breaks; bench E21 asserts 1e-9).  One shard is the unsharded case:
-  :class:`CorpusIndex` is that constructor.
+  SHA-256 onto contiguous ranges).  Every schema lives in exactly ONE
+  shard, so global corpus statistics (document count, document
+  frequency, total term mass) are plain sums over shards, and retrieval
+  ranks all shards through the one pruned BM25 scorer,
+  :func:`repro.search.rank.bm25_top_k` -- the scorer
+  :class:`~repro.search.rank.SchemaSearchEngine` ranks one index with.
+  One shard is the unsharded case: :class:`CorpusIndex` is that
+  constructor.
 * **Lazy incremental refresh** -- every query first compares the
   repository's :attr:`~repro.repository.store.MetadataRepository.generation`
   clock against each shard's build stamp, and a stale shard is rebuilt
@@ -33,15 +32,6 @@ schemata".  :class:`ShardedCorpusIndex` is that stage, bound to a
   counted on :class:`CorpusRefresh`, never indexed, retried when its
   content changes -- so one malformed record cannot fail every query
   over the registry.
-* **Pruned exact scoring** -- the merged scorer processes query terms in
-  descending score-upper-bound order (``idf * (k1+1) * min(qc, 3)`` --
-  every BM25 contribution is strictly below its bound because the tf
-  saturation ``tf/(tf + k1*norm)`` is strictly below 1).  Once ``limit``
-  candidates hold exact scores and the remaining terms' bound sum cannot
-  beat the current k-th score, the long tail of low-idf postings is
-  never visited.  Documents that ARE scored get the exact doc-at-a-time
-  sum in original query-term order, so pruning changes which documents
-  are *visited*, never any returned score.
 
 **Concurrency: refresh publishes atomically.**  Each shard's state
 (inverted index, content-hash map, generation stamp) is one immutable
@@ -62,15 +52,12 @@ documented with a worked example in ``docs/repository.md``.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import logging
-import math
 import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.repository.store import MetadataRepository
 from repro.schema.errors import SchemaError
@@ -78,7 +65,7 @@ from repro.schema.schema import Schema
 from repro.schema.serialize import schema_from_dict
 from repro.search.index import SchemaIndex, schema_terms
 from repro.search.query import SchemaQuery
-from repro.search.rank import SearchHit
+from repro.search.rank import SearchHit, bm25_top_k
 
 __all__ = [
     "FINGERPRINT_FORMAT_VERSION",
@@ -101,12 +88,6 @@ FINGERPRINT_FORMAT_VERSION = 1
 #: bulk ingest: bounds transaction size (and write-lock hold time on the
 #: pooled backend) while keeping a cold build to a handful of commits.
 PERSIST_CHUNK = 512
-
-#: Must mirror ``SchemaSearchEngine``'s defaults: the merged scorer
-#: replicates its arithmetic exactly, so the constants must be the same
-#: objects conceptually (exactness is asserted by tests and bench E21).
-_K1 = 1.5
-_B = 0.75
 
 #: What ``schema_from_dict`` raises on a malformed stored payload
 #: (unknown format version, missing keys, bad enum values, wrong types).
@@ -276,12 +257,6 @@ class ShardedCorpusIndex:
         the registry; it only reads schemata and reads/writes fingerprints.
     n_shards:
         Partition count.  ``1`` is the unsharded index.
-    shard_assign:
-        Optional domain-aware override: a callable mapping a schema name
-        to a shard ordinal in ``[0, n_shards)``.  Keeping one enterprise
-        domain in one shard makes a domain-scoped ingest invalidate one
-        shard instead of all of them.  Must be stable per name; values
-        outside the range raise ``ValueError`` at refresh time.
 
     One index may be shared across threads (the serving tier does):
     refreshers serialise on an internal lock and publish finished shard
@@ -290,17 +265,11 @@ class ShardedCorpusIndex:
     proceeds without any locking at all.
     """
 
-    def __init__(
-        self,
-        repository: MetadataRepository,
-        n_shards: int = 1,
-        shard_assign: Callable[[str], int] | None = None,
-    ):
+    def __init__(self, repository: MetadataRepository, n_shards: int = 1):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self.repository = repository
         self.n_shards = n_shards
-        self._shard_assign = shard_assign
         self._shards = [_Shard(ordinal) for ordinal in range(n_shards)]
         #: Stable name -> shard memo (assignment hashes once per name,
         #: not once per refresh scan).
@@ -317,16 +286,7 @@ class ShardedCorpusIndex:
         """The shard ordinal a schema name lives in."""
         shard = self._assigned.get(name)
         if shard is None:
-            if self._shard_assign is not None:
-                shard = int(self._shard_assign(name))
-                if not 0 <= shard < self.n_shards:
-                    raise ValueError(
-                        f"shard_assign({name!r}) returned {shard}, outside"
-                        f" [0, {self.n_shards})"
-                    )
-            else:
-                shard = shard_of_name(name, self.n_shards)
-            self._assigned[name] = shard
+            shard = self._assigned[name] = shard_of_name(name, self.n_shards)
         return shard
 
     # ------------------------------------------------------------------
@@ -336,15 +296,6 @@ class ShardedCorpusIndex:
         """Whether any shard predates the repository's generation clock."""
         generation = self.repository.generation
         return any(shard.state.generation != generation for shard in self._shards)
-
-    def stale_shards(self) -> list[int]:
-        """Ordinals of shards whose stamp predates the current clock."""
-        generation = self.repository.generation
-        return [
-            shard.ordinal
-            for shard in self._shards
-            if shard.state.generation != generation
-        ]
 
     def n_indexed(self) -> int:
         """Entries across published snapshots, WITHOUT refreshing first.
@@ -369,16 +320,9 @@ class ShardedCorpusIndex:
         shard's finished replacement is swapped in.
         """
         with self._refresh_lock:
-            return self._refresh_locked(force, only=None)
+            return self._refresh_locked(force)
 
-    def refresh_shard(self, shard: int, force: bool = False) -> CorpusRefresh:
-        """Refresh ONE shard (the others keep their published state)."""
-        if not 0 <= shard < self.n_shards:
-            raise ValueError(f"shard must be in [0, {self.n_shards}), got {shard}")
-        with self._refresh_lock:
-            return self._refresh_locked(force, only=shard)
-
-    def _refresh_locked(self, force: bool, only: int | None) -> CorpusRefresh:
+    def _refresh_locked(self, force: bool) -> CorpusRefresh:
         started = time.perf_counter()
         # Capture the clock ONCE, BEFORE reading the registry (on a
         # file-backed store each clock read is a real query, and this
@@ -388,12 +332,9 @@ class ShardedCorpusIndex:
         # post-refresh clock would mark unseen registrations as indexed
         # forever).  MappingGraph.refresh orders its clocks the same way.
         generation = self.repository.generation
-        targets = (
-            self._shards if only is None else [self._shards[only]]
-        )
         pending = [
             shard
-            for shard in targets
+            for shard in self._shards
             if force or shard.state.generation != generation
         ]
         if not pending:
@@ -553,7 +494,7 @@ class ShardedCorpusIndex:
         if all(state.generation == generation for state in states):
             return states
         with self._refresh_lock:
-            self._refresh_locked(force=False, only=None)
+            self._refresh_locked(force=False)
             return [shard.state for shard in self._shards]
 
     # ------------------------------------------------------------------
@@ -572,15 +513,14 @@ class ShardedCorpusIndex:
         ``exclude`` drops a registered copy of the query schema itself.
         This is the candidate-pruning stage of ``corpus_match``:
         everything outside the returned list is never matched at all.
-        Scores are bit-for-bit those of ``SchemaSearchEngine`` over one
-        index of the whole registry (see the module docstring).
+        Scores are those of ``SchemaSearchEngine`` over one index of the
+        whole registry (see the module docstring).
         """
         if limit <= 0:
             raise ValueError(f"limit must be positive, got {limit}")
         states = self._fresh_states()
-        query_terms = SchemaQuery(query).terms()
-        return _merged_search(
-            [state.index for state in states], query_terms, limit, exclude
+        return bm25_top_k(
+            [state.index for state in states], SchemaQuery(query).terms(), limit, exclude
         )
 
     def __len__(self) -> int:
@@ -601,87 +541,3 @@ class CorpusIndex(ShardedCorpusIndex):
     def __init__(self, repository: MetadataRepository):
         super().__init__(repository, n_shards=1)
 
-
-def _merged_search(
-    indexes: list[SchemaIndex],
-    query_terms: Counter,
-    limit: int,
-    exclude: str | None,
-) -> list[SearchHit]:
-    """Exact BM25 top-k over disjoint shards with max-score pruning.
-
-    Global statistics are sums over shards (each document lives in
-    exactly one): document count ``n``, per-term document frequency, and
-    the exact integer total term mass for the average length -- so every
-    float this function produces equals the unsharded
-    ``SchemaSearchEngine`` value bit-for-bit.  Candidate documents are
-    gathered term-by-term in descending upper-bound order and scored
-    EXACTLY (doc-at-a-time, original query-term order); gathering stops
-    once ``limit`` exact scores exist and the remaining terms' bound sum
-    cannot beat the k-th best (every real contribution is strictly below
-    its bound, so no skipped document can reach, let alone beat, that
-    score -- ties included).
-    """
-    n = sum(len(index) for index in indexes)
-    if n == 0:
-        return []
-    total_terms = sum(index.total_terms() for index in indexes)
-    average_length = (total_terms / n) or 1.0
-
-    # Per-term global idf and score upper bound, original order kept for
-    # the exact per-document summation.
-    ordered: list[tuple[str, int]] = []   # (term, query_count), dict order
-    idf: dict[str, float] = {}
-    bound: dict[str, float] = {}
-    for term, query_count in query_terms.items():
-        ordered.append((term, query_count))
-        df = sum(index.document_frequency(term) for index in indexes)
-        if df == 0:
-            continue
-        value = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        idf[term] = value
-        bound[term] = value * (_K1 + 1) * min(query_count, 3)
-
-    def exact_score(document: Counter, doc_length: int) -> float:
-        # Mirror SchemaSearchEngine._bm25 verbatim: same expressions,
-        # same accumulation order -> identical floats.
-        score = 0.0
-        for term, query_count in ordered:
-            term_frequency = document.get(term, 0)
-            if term_frequency == 0:
-                continue
-            numerator = term_frequency * (_K1 + 1)
-            denominator = term_frequency + _K1 * (
-                1 - _B + _B * doc_length / average_length
-            )
-            score += idf[term] * numerator / denominator * min(query_count, 3)
-        return score
-
-    by_bound = sorted(bound, key=lambda term: (-bound[term], term))
-    # suffix[i] = sum of bounds from position i on (the best any document
-    # first reachable at position i could possibly score).
-    suffix = [0.0] * (len(by_bound) + 1)
-    for position in range(len(by_bound) - 1, -1, -1):
-        suffix[position] = suffix[position + 1] + bound[by_bound[position]]
-
-    heap: list[float] = []  # min-heap over the top-`limit` exact scores
-    hits: list[SearchHit] = []
-    seen: set[str] = set()
-    for position, term in enumerate(by_bound):
-        if len(heap) == limit and suffix[position] <= heap[0]:
-            break  # nothing unseen can beat the current k-th score
-        for index in indexes:
-            for name in index.posting(term):
-                if name == exclude or name in seen:
-                    continue
-                seen.add(name)
-                entry = index.entry(name)
-                score = exact_score(entry.terms, entry.n_terms)
-                if score > 0:
-                    hits.append(SearchHit(schema_name=name, score=score))
-                    if len(heap) < limit:
-                        heapq.heappush(heap, score)
-                    elif score > heap[0]:
-                        heapq.heapreplace(heap, score)
-    hits.sort(key=lambda hit: (-hit.score, hit.schema_name))
-    return hits[:limit]

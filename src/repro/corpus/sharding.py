@@ -11,9 +11,10 @@ stays stamped stale and is caught next cycle).  Without a worker, queries
 fall back to synchronous incremental refresh -- zero stale results either
 way.
 
-The index itself -- hash-range shards, exact merged BM25, the refresh
-body -- lives in :mod:`repro.corpus.index`; :class:`ShardedCorpusIndex`,
-:class:`ShardStats` and :func:`shard_of_name` are re-exported here.
+The index itself -- hash-range shards and the refresh body, ranked by
+the one BM25 scorer of :mod:`repro.search.rank` -- lives in
+:mod:`repro.corpus.index`; :class:`ShardedCorpusIndex`, :class:`ShardStats`
+and :func:`shard_of_name` are re-exported here.
 ``repro serve --refresh-interval`` runs the worker; ``/healthz`` and
 ``/metrics`` surface :meth:`ShardedCorpusIndex.shard_stats` and
 :meth:`CorpusRefreshWorker.stats`.  See ``docs/repository.md`` and

@@ -104,12 +104,15 @@ def best_f1_assignment(
     matcher that is allowed a final 1:1 selection step.  Far cheaper than
     re-selecting per threshold, and the right comparison basis for matcher
     architectures (raw many-to-many thresholding punishes every matcher with
-    the same cross-concept near-duplicates).
+    the same cross-concept near-duplicates).  Rows and columns are put in
+    element-id order first, so exact score ties resolve the same way
+    whatever order the matrix lists its elements in.
     """
     from repro.match.selection import HungarianSelection
 
     truth = set(truth_pairs)
-    assigned = HungarianSelection(threshold=-1.0).select(matrix)
+    canonical = matrix.submatrix(sorted(matrix.source_ids), sorted(matrix.target_ids))
+    assigned = HungarianSelection(threshold=-1.0).select(canonical)
     best: tuple[float, PRF] | None = None
     for threshold in thresholds:
         kept = [c.pair for c in assigned if c.score >= threshold]

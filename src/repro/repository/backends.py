@@ -618,6 +618,20 @@ class PooledSqliteBackend:
         ((text,),) = self._read(sql, params)
         return json.loads(text)
 
+    def _read_payloads(self, table: str, names: Sequence[str]) -> dict[str, dict]:
+        """name -> decoded payload for the named rows of ``table``: one
+        aggregate query per 500 names, so reading K rows costs
+        ``ceil(K / 500)`` queries, not K round-trips."""
+        found: dict[str, dict] = {}
+        for chunk in _chunked(names):
+            marks = ",".join("?" * len(chunk))
+            found.update(self._read_json(
+                f"SELECT json_group_object(name, json(payload)) FROM {table}"
+                f" WHERE name IN ({marks})",
+                tuple(chunk),
+            ))
+        return found
+
     def _write(self, statements: list[tuple]) -> None:
         connection = self._acquire()
         try:
@@ -673,15 +687,7 @@ class PooledSqliteBackend:
         return json.loads(rows[0][0])
 
     def get_schemas(self, names: Sequence[str]) -> dict[str, dict]:
-        found: dict[str, dict] = {}
-        for chunk in _chunked(names):
-            marks = ",".join("?" * len(chunk))
-            found.update(self._read_json(
-                "SELECT json_group_object(name, json(payload)) FROM schemata"
-                f" WHERE name IN ({marks})",
-                tuple(chunk),
-            ))
-        return found
+        return self._read_payloads("schemata", names)
 
     def put_schemas(
         self,
@@ -767,51 +773,30 @@ class PooledSqliteBackend:
 
     # -- corpus fingerprints -------------------------------------------
     def put_fingerprint(self, name: str, payload: dict) -> None:
+        self.put_fingerprints({name: payload})
+
+    def put_fingerprints(self, payloads: dict[str, dict]) -> None:
+        """Bulk write as ONE transaction (a cold index build is N schemata).
+
+        One INSERT per row, as in :meth:`put_schemas`: SQLite's JSON
+        functions cut a key at an escaped NUL, so a set-based write over
+        ``json_each`` would store the payload of ``"X\\x00y"`` on row ``"X"``.
+        """
         self._write([
             (
                 "INSERT OR REPLACE INTO corpus_fingerprints (name, payload)"
                 " VALUES (?, ?)",
                 (name, json.dumps(payload)),
             )
-        ])
-
-    def put_fingerprints(self, payloads: dict[str, dict]) -> None:
-        """Bulk write as ONE transaction (a cold index build is N schemata).
-
-        One statement over ``json_each`` of the whole batch, so the write
-        steps once rather than once per row (see :meth:`_read_json`).
-        """
-        self._write([
-            (
-                "INSERT OR REPLACE INTO corpus_fingerprints (name, payload)"
-                " SELECT key, value FROM json_each(?)",
-                (json.dumps(payloads),),
-            )
+            for name, payload in payloads.items()
         ])
 
     def get_fingerprint(self, name: str) -> dict | None:
-        rows = self._read(
-            "SELECT payload FROM corpus_fingerprints WHERE name = ?", (name,)
-        )
-        if not rows:
-            return None
-        return json.loads(rows[0][0])
+        return self.get_fingerprints([name]).get(name)
 
     def get_fingerprints(self, names: Sequence[str]) -> dict[str, dict]:
-        """Bulk fingerprint read (one IN-clause query per 500 names).
-
-        The corpus index's refresh path: rebuilding K entries costs
-        ``ceil(K / 500)`` queries, not K round-trips.
-        """
-        found: dict[str, dict] = {}
-        for chunk in _chunked(names):
-            marks = ",".join("?" * len(chunk))
-            found.update(self._read_json(
-                "SELECT json_group_object(name, json(payload))"
-                f" FROM corpus_fingerprints WHERE name IN ({marks})",
-                tuple(chunk),
-            ))
-        return found
+        """Bulk fingerprint read: the corpus index's refresh path."""
+        return self._read_payloads("corpus_fingerprints", names)
 
     def fingerprint_names(self) -> list[str]:
         return sorted(

@@ -31,7 +31,7 @@ The reuse semantics, default weights, and a worked example live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.match.correspondence import Correspondence, MatchStatus
@@ -194,33 +194,24 @@ class ReusePolicy:
         data (the nested trust gate serialises through
         :meth:`TrustPolicy.to_dict`).
         """
-        return {
-            "human_weight": self.human_weight,
-            "automatic_weight": self.automatic_weight,
-            "imported_weight": self.imported_weight,
-            "composed_weight": self.composed_weight,
-            "boost": self.boost,
-            "seed_scale": self.seed_scale,
-            "seed_floor": self.seed_floor,
-            "include_composed": self.include_composed,
-            "trust": self.trust.to_dict() if self.trust is not None else None,
+        payload = {
+            field.name: getattr(self, field.name) for field in fields(self)
         }
+        payload["trust"] = self.trust.to_dict() if self.trust is not None else None
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ReusePolicy":
-        """Rebuild a policy from :meth:`to_dict` output (defaults fill gaps)."""
-        trust = payload.get("trust")
-        return cls(
-            human_weight=payload.get("human_weight", 1.0),
-            automatic_weight=payload.get("automatic_weight", 0.5),
-            imported_weight=payload.get("imported_weight", 0.7),
-            composed_weight=payload.get("composed_weight", 0.35),
-            boost=payload.get("boost", 0.3),
-            seed_scale=payload.get("seed_scale", 0.8),
-            seed_floor=payload.get("seed_floor", 0.2),
-            include_composed=payload.get("include_composed", True),
-            trust=TrustPolicy.from_dict(trust) if trust is not None else None,
-        )
+        """Rebuild a policy from :meth:`to_dict` output (defaults fill
+        gaps; unknown keys are ignored)."""
+        values = {
+            field.name: payload[field.name]
+            for field in fields(cls)
+            if field.name in payload
+        }
+        if values.get("trust") is not None:
+            values["trust"] = TrustPolicy.from_dict(values["trust"])
+        return cls(**values)
 
     def weight_for(self, method: AssertionMethod) -> float:
         if method is AssertionMethod.HUMAN_VALIDATED:

@@ -403,26 +403,10 @@ class MetadataRepository:
         note: str = "",
     ) -> StoredMatch:
         """Assert one correspondence with provenance (sequence = logical time)."""
-        with self._lock:
-            for name in (source_schema, target_schema):
-                if name not in self:
-                    raise KeyError(f"schema {name!r} is not registered")
-            sequence = self._backend.next_sequences(1)
-            stored = StoredMatch(
-                source_schema=source_schema,
-                target_schema=target_schema,
-                correspondence=correspondence,
-                provenance=ProvenanceRecord(
-                    asserted_by=asserted_by,
-                    method=method,
-                    confidence=correspondence.score,
-                    sequence=sequence,
-                    context=context,
-                    note=note,
-                ),
-            )
-            self._backend.add_matches([stored])
-        self._notify_write()
+        (stored,) = self._store(
+            "store_match", source_schema, target_schema, [correspondence],
+            asserted_by, method, context, note,
+        )
         return stored
 
     def store_matches(
@@ -444,13 +428,30 @@ class MetadataRepository:
         is logical time, only monotonicity matters).  See
         ``docs/repository.md`` for the guarantee.
         """
-        batch = list(correspondences)
-        with span("repository.write", op="store_matches"), self._lock:
+        return len(self._store(
+            "store_matches", source_schema, target_schema, list(correspondences),
+            asserted_by, method, context, "",
+        ))
+
+    def _store(
+        self,
+        op: str,
+        source_schema: str,
+        target_schema: str,
+        batch: list[Correspondence],
+        asserted_by: str,
+        method: AssertionMethod,
+        context: str,
+        note: str,
+    ) -> list[StoredMatch]:
+        """The one match write: check both schemata, reserve sequences,
+        add every row in one backend transaction, then notify."""
+        with span("repository.write", op=op), self._lock:
             for name in (source_schema, target_schema):
                 if name not in self:
                     raise KeyError(f"schema {name!r} is not registered")
             if not batch:
-                return 0
+                return []
             first_sequence = self._backend.next_sequences(len(batch))
             stored = [
                 StoredMatch(
@@ -463,14 +464,14 @@ class MetadataRepository:
                         confidence=correspondence.score,
                         sequence=first_sequence + offset,
                         context=context,
-                        note="",
+                        note=note,
                     ),
                 )
                 for offset, correspondence in enumerate(batch)
             ]
             self._backend.add_matches(stored)
         self._notify_write()
-        return len(stored)
+        return stored
 
     def matches(
         self,

@@ -137,10 +137,7 @@ class SynonymLexicon:
 
     @classmethod
     def empty(cls) -> "SynonymLexicon":
-        lexicon = cls.__new__(cls)
-        lexicon._memberships = {}
-        lexicon._synsets = []
-        return lexicon
+        return cls(())
 
     def extend(self, synsets: Iterable[Sequence[str]]) -> "SynonymLexicon":
         """Return a new lexicon with additional synsets."""

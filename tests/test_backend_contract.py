@@ -215,6 +215,18 @@ class TestBulkSchemata:
         assert backend.get_fingerprints(names) == {
             name: {"hash": name, "terms": {}} for name in names
         }
+        # The fingerprint-only writes must keep them apart too.
+        rehashed = {"X": "h1", "X\x00y": "h2"}
+        backend.put_fingerprints(
+            {name: {"hash": value, "terms": {}} for name, value in rehashed.items()}
+        )
+        assert backend.fingerprint_hashes() == rehashed
+        assert backend.get_fingerprints(names) == {
+            name: {"hash": value, "terms": {}} for name, value in rehashed.items()
+        }
+        backend.put_fingerprint("X\x00y", {"hash": "one", "terms": {}})
+        assert backend.get_fingerprint("X") == {"hash": "h1", "terms": {}}
+        assert backend.get_fingerprint("X\x00y") == {"hash": "one", "terms": {}}
 
 
 class TestMatches:

@@ -315,6 +315,24 @@ class TestReusePolicy:
             repository.register(medical(name))
         return repository
 
+    def test_dict_round_trip_keeps_the_wire_keys(self):
+        policy = ReusePolicy(boost=0.5, trust=TrustPolicy.for_search())
+        payload = policy.to_dict()
+        assert list(payload) == [
+            "human_weight", "automatic_weight", "imported_weight",
+            "composed_weight", "boost", "seed_scale", "seed_floor",
+            "include_composed", "trust",
+        ]
+        assert payload["trust"] == TrustPolicy.for_search().to_dict()
+        assert ReusePolicy.from_dict(json.loads(json.dumps(payload))) == policy
+        assert ReusePolicy().to_dict()["trust"] is None
+
+    def test_from_dict_fills_defaults_and_ignores_unknown_keys(self):
+        assert ReusePolicy.from_dict({}) == ReusePolicy()
+        assert ReusePolicy.from_dict(
+            {"seed_floor": 0.4, "trust": None, "future_knob": 1}
+        ) == ReusePolicy(seed_floor=0.4)
+
     def test_human_prior_boosts_more_than_automatic(self):
         repository = self._repo()
         repository.store_match(

@@ -7,6 +7,7 @@ from repro.match import HarmonyMatchEngine, MatchMatrix
 from repro.metrics import (
     average_precision,
     best_f1,
+    best_f1_assignment,
     matrix_overlap,
     precision_at_k,
     prf,
@@ -67,6 +68,32 @@ class TestSweeps:
         threshold, measurement = best_f1(matrix, {("a1", "b1"), ("a2", "b2")})
         assert measurement.f1 == 1.0
         assert 0.2 < threshold <= 0.8
+
+    def test_assignment_ties_do_not_depend_on_row_order(self):
+        truth = {("a", "x"), ("b", "y")}
+        ties = np.full((2, 2), 0.5)
+        forward = best_f1_assignment(MatchMatrix(["a", "b"], ["x", "y"], ties), truth)
+        flipped = best_f1_assignment(MatchMatrix(["b", "a"], ["x", "y"], ties), truth)
+        assert forward == flipped
+        assert forward[1].f1 == 1.0
+
+    def test_assignment_is_invariant_under_permutation(self):
+        rng = np.random.default_rng(7)
+        # Coarse scores: many exact ties for the assignment to break.
+        scores = rng.integers(0, 4, size=(6, 5)) / 4
+        sources = [f"s{i}" for i in range(6)]
+        targets = [f"t{j}" for j in range(5)]
+        truth = {(f"s{i}", f"t{i}") for i in range(5)}
+        expected = best_f1_assignment(MatchMatrix(sources, targets, scores), truth)
+        for _ in range(10):
+            rows = rng.permutation(6)
+            cols = rng.permutation(5)
+            permuted = MatchMatrix(
+                [sources[i] for i in rows],
+                [targets[j] for j in cols],
+                scores[np.ix_(rows, cols)],
+            )
+            assert best_f1_assignment(permuted, truth) == expected
 
 
 class TestMatrixOverlap:

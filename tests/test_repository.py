@@ -80,6 +80,26 @@ class TestMatchKnowledge:
         )
         assert second.provenance.sequence == first.provenance.sequence + 1
 
+    def test_single_and_bulk_stores_open_a_write_span(self, repository):
+        from repro.telemetry import Tracer, activate_trace
+
+        repository.register(small_schema("a", ["x"]))
+        repository.register(small_schema("b", ["y"]))
+        trace = Tracer().start()
+        with activate_trace(trace):
+            repository.store_match(
+                "a", "b", Correspondence("a.x", "b.y", 0.5), asserted_by="alice"
+            )
+            repository.store_matches(
+                "a", "b", [Correspondence("a.x", "b.y", 0.6)], asserted_by="bob"
+            )
+        writes = [
+            entry["attrs"]
+            for entry in trace.to_dict()["spans"]
+            if entry["kind"] == "repository.write"
+        ]
+        assert writes == [{"op": "store_match"}, {"op": "store_matches"}]
+
     def test_query_by_schemas(self, repository):
         a, b, c = (small_schema(n, ["x"]) for n in "abc")
         for schema in (a, b, c):

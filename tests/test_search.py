@@ -139,13 +139,6 @@ class TestFragmentSearch:
 
 
 class TestParameterValidation:
-    def test_bm25_params(self, registry):
-        index, _ = registry
-        with pytest.raises(ValueError):
-            SchemaSearchEngine(index, k1=0)
-        with pytest.raises(ValueError):
-            SchemaSearchEngine(index, b=2.0)
-
     def test_predicate_admits(self):
         schema = themed_schema("x", {"a": ["b", "c"]})
         assert PredicateQuery(min_elements=2).admits(schema)

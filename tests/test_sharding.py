@@ -3,8 +3,9 @@ and the background refresh worker.
 
 The load-bearing claims, each with the test that can fail it:
 
-* sharded top-k retrieval returns EXACTLY the hits of the reference
-  ``SchemaSearchEngine`` over one ``SchemaIndex`` of the same registry --
+* sharded top-k retrieval returns EXACTLY the hits of the exhaustive
+  reference engine (``tests/reference_bm25.py``) over one ``SchemaIndex``
+  of the same registry --
   same names, same order, scores equal with ``==`` (stronger than the
   1e-9 the E21 bench asserts) -- for any shard count;
 * a malformed stored payload is skipped by refresh, never indexed, and
@@ -41,10 +42,11 @@ from repro.corpus import (
 )
 from repro.repository import MetadataRepository
 from repro.schema.serialize import schema_from_dict, schema_to_dict
-from repro.search import SchemaIndex, SchemaQuery, SchemaSearchEngine
+from repro.search import SchemaIndex, SchemaQuery
 from repro.service import MatchService
 from repro.service.requests import CorpusMatchRequest
 from repro.synthetic import generate_enterprise_corpus, generate_scaled_corpus
+from tests.reference_bm25 import ReferenceSearchEngine
 
 
 @pytest.fixture(scope="module")
@@ -61,11 +63,11 @@ def repository(corpus):
 
 
 def _reference(repository, query, limit, exclude=None):
-    """``SchemaSearchEngine`` top-k over one unsharded index of the registry."""
+    """Exhaustive reference top-k over one unsharded index of the registry."""
     index = SchemaIndex()
     for name in repository.schema_names():
         index.add(repository.schema(name), name=name)
-    return SchemaSearchEngine(index).search(
+    return ReferenceSearchEngine(index).search(
         SchemaQuery(query), limit=limit, exclude=exclude
     )
 
@@ -160,28 +162,6 @@ class TestExactness:
 
 
 class TestShardAssignment:
-    def test_domain_aware_override_stays_exact(self, corpus, repository):
-        # Route whole domains to shards: D<d>S<o> -> d mod n_shards.
-        def by_domain(name: str) -> int:
-            return int(name[1 : name.index("S")]) % 3
-
-        sharded = ShardedCorpusIndex(repository, n_shards=3, shard_assign=by_domain)
-        query = corpus.by_name("D2S1").schema
-        assert sharded.top_candidates(query, limit=6) == _reference(
-            repository, query, limit=6
-        )
-        # Every member of one domain shares one shard.
-        assert {sharded.shard_of(n) for n in corpus.names if n.startswith("D4")} == {
-            by_domain("D4S0")
-        }
-
-    def test_out_of_range_assignment_is_an_error(self, repository):
-        sharded = ShardedCorpusIndex(
-            repository, n_shards=2, shard_assign=lambda name: 5
-        )
-        with pytest.raises(ValueError):
-            sharded.refresh()
-
     def test_rejects_non_positive_shard_count(self, repository):
         with pytest.raises(ValueError):
             ShardedCorpusIndex(repository, n_shards=0)
@@ -199,23 +179,6 @@ class TestShardedLifecycle:
         after = [stats.n_refreshes for stats in sharded.shard_stats()]
         rebuilt = [i for i in range(4) if after[i] > before[i]]
         assert rebuilt == [shard_of_name("ZNEWCOMER", 4)]
-
-    def test_refresh_shard_leaves_the_rest_stale(self, corpus, repository):
-        sharded = ShardedCorpusIndex(repository, n_shards=4)
-        sharded.refresh()
-        repository.register(_renamed(corpus, "D0S0", "ZNEWCOMER"))
-        target = shard_of_name("ZNEWCOMER", 4)
-        refresh = sharded.refresh_shard(target)
-        assert refresh.n_added == 1
-        assert sharded.is_stale()  # other shards still stamped older
-        assert set(sharded.stale_shards()) == set(range(4)) - {target}
-        sharded.refresh()
-        assert not sharded.is_stale()
-
-    def test_refresh_shard_validates_the_ordinal(self, repository):
-        sharded = ShardedCorpusIndex(repository, n_shards=2)
-        with pytest.raises(ValueError):
-            sharded.refresh_shard(2)
 
     def test_unregister_is_removed_from_its_shard(self, corpus, repository):
         sharded = ShardedCorpusIndex(repository, n_shards=4)

@@ -173,6 +173,9 @@ class TestThesaurus:
         assert not lexicon.are_synonyms("begin", "start")
         assert len(lexicon) == 0
 
+    def test_empty_lexicon_is_its_own_canonical(self):
+        assert SynonymLexicon.empty().canonical("order") == "order"
+
     def test_extend(self):
         lexicon = SynonymLexicon.empty().extend([("foo", "bar")])
         assert lexicon.are_synonyms("foo", "bar")
