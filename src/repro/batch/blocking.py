@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.match.matrix import MatchMatrix
-from repro.matchers.profile import FeatureSpace, SchemaProfile
+from repro.matchers.profile import FeatureSpace, SchemaProfile, densify
 
 __all__ = [
     "BlockingPolicy",
@@ -70,6 +70,11 @@ class BlockingPolicy:
                 raise ValueError(f"unknown blocking key {key!r}; known: {known}")
         if self.min_shared < 1:
             raise ValueError(f"min_shared must be >= 1, got {self.min_shared}")
+
+    @property
+    def kinds(self) -> tuple[str, ...]:
+        """The :class:`~repro.matchers.profile.FeatureSpace` kinds of the keys."""
+        return tuple(_KIND_ALIASES.get(key, key) for key in self.keys)
 
 
 @dataclass
@@ -124,9 +129,9 @@ def candidate_pairs(
     """
     policy = policy if policy is not None else BlockingPolicy()
     survivors = np.zeros((len(source), len(target)), dtype=bool)
-    for key in policy.keys:
-        counts = space.set_product(source, target, _KIND_ALIASES.get(key, key))
-        survivors |= counts.toarray() >= policy.min_shared
+    for kind in policy.kinds:
+        counts = space.set_product(source, target, kind)
+        survivors |= densify(counts) >= policy.min_shared
     rows, cols = np.nonzero(survivors)
     return CandidateSet(
         shape=(len(source), len(target)),

@@ -235,26 +235,20 @@ class BatchMatchRunner:
         return cached
 
     def warm(self, schemata: Iterable[Schema]) -> None:
-        """Pre-build profiles and every feature the ensemble will touch.
+        """Pre-build profiles and every feature the runner will read: the
+        blocking keys' features and what each voter's :meth:`MatchVoter.warm`
+        builds.
 
         Called automatically before fan-out so pool workers only *read* the
         shared caches; also useful to move one-time costs out of a timed
         region (bench E16 separates warm-up from steady-state matching).
         """
-        kinds = ("name", "gram", "path", "doc", "text", "doc_sets")
         for schema in schemata:
             profile = self.profile(schema)
-            for kind in kinds:
+            for kind in self.blocking.kinds:
                 self.space.feature(profile, kind)
-            self.space.raw_name_ids(profile)
-            self.space.doc_lengths(profile)
-            self.space.text_lengths(profile)
-            self.space.type_ids(profile)
-            self.space.type_known(profile)
             for voter in self.voters:
-                lexicon = getattr(voter, "lexicon", None)
-                if lexicon is not None:
-                    self.space.feature(profile, "canonical", lexicon=lexicon)
+                voter.warm(profile, self.space)
 
     # -- single pair ----------------------------------------------------
     def match_pair(
@@ -469,9 +463,15 @@ class BatchMatchRunner:
         while source_key in registry:
             source_key = f"{source_key}*"
         registry[source_key] = source
-        outcomes = self._run_pairs(
-            registry, [(source_key, name) for name in names], selection
-        )
+        pairs = [(source_key, name) for name in names]
+        if self.executor == "process":
+            outcomes = self._run_pairs(registry, pairs, selection)
+        else:
+            # One stacked product per set feature instead of one per pair.
+            self.warm(registry.values())
+            targets = [self.profile(corpus[name]) for name in names]
+            with self.space.stacked(self.profile(source), targets):
+                outcomes = self._run_pairs(registry, pairs, selection)
         # The registry key is collision-proofed internally; outcomes report
         # the schema's real name.
         for outcome in outcomes:

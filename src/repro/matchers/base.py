@@ -51,7 +51,12 @@ from typing import Sequence, TypeVar
 
 import numpy as np
 
-from repro.matchers.profile import FeatureSpace, SchemaProfile, gather_pairs
+from repro.matchers.profile import (
+    FeatureSpace,
+    SchemaProfile,
+    densify,
+    gather_pairs,
+)
 from repro.voting.confidence import DEFAULT_TAU, confidence_array
 
 __all__ = [
@@ -281,6 +286,13 @@ class MatchVoter(ABC):
         """
         raise NotImplementedError(f"{type(self).__name__} has no bulk fast path")
 
+    def warm(self, profile: SchemaProfile, space: FeatureSpace) -> None:
+        """Build the cached features this voter's kernels read for ``profile``.
+
+        :meth:`repro.batch.BatchMatchRunner.warm` calls it so matching
+        only reads the shared space; per-pair voters read none.
+        """
+
     @property
     def supports_block(self) -> bool:
         """Whether this voter implements the cached-feature kernels."""
@@ -355,6 +367,9 @@ class SetOverlapVoter(MatchVoter):
         evidence = gather_outer(np.minimum, source_sizes, target_sizes, rows, cols)
         return similarity, evidence
 
+    def warm(self, profile, space):
+        space.feature(profile, self.kind, self.lexicon)
+
     def grid_ratios(
         self, source, target, space, source_positions=None, target_positions=None
     ):
@@ -362,7 +377,7 @@ class SetOverlapVoter(MatchVoter):
             source, target, self.kind, self.lexicon, source_positions, target_positions
         )
         return self._overlap(
-            product.toarray(),
+            densify(product),
             take(space.set_sizes(source, self.kind, self.lexicon), source_positions),
             take(space.set_sizes(target, self.kind, self.lexicon), target_positions),
         )

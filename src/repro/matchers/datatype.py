@@ -34,6 +34,10 @@ class DataTypeVoter(MatchVoter):
             raise ValueError(f"evidence_mass must be positive, got {evidence_mass}")
         self.evidence_mass = evidence_mass
 
+    def warm(self, profile, space):
+        space.type_ids(profile)
+        space.type_known(profile)
+
     def grid_ratios(
         self, source, target, space, source_positions=None, target_positions=None
     ):

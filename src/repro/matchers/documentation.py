@@ -33,6 +33,10 @@ class _TfidfVoter(MatchVoter):
     def _lengths(self, space, profile):
         return space.doc_lengths(profile) if self.kind == "doc" else space.text_lengths(profile)
 
+    def warm(self, profile, space):
+        space.feature(profile, self.kind)
+        self._lengths(space, profile)
+
     def grid_ratios(
         self, source, target, space, source_positions=None, target_positions=None
     ):

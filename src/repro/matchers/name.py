@@ -42,6 +42,9 @@ class ExactNameVoter(MatchVoter):
     def _equality(equal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return equal.astype(float), np.where(equal, 8.0, 0.5)
 
+    def warm(self, profile, space):
+        space.raw_name_ids(profile)
+
     def grid_ratios(
         self, source, target, space, source_positions=None, target_positions=None
     ):

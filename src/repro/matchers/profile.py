@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -45,6 +46,7 @@ __all__ = [
     "build_profile",
     "TokenInterner",
     "FeatureSpace",
+    "densify",
     "gather_pairs",
 ]
 
@@ -194,6 +196,11 @@ class TokenInterner:
         self._index[token] = new_id
         return new_id
 
+    def intern_set(self, tokens: Sequence[str]) -> list[int]:
+        """Sorted ids of the distinct tokens, interning the new ones."""
+        index = self._index
+        return sorted({index.setdefault(token, len(index)) for token in tokens})
+
 
 @dataclass
 class _Feature:
@@ -234,7 +241,7 @@ def _set_feature(documents: Sequence[Sequence[str]], interner: TokenInterner) ->
     indptr = [0]
     indices: list[int] = []
     for document in documents:
-        indices.extend(sorted(interner.intern(token) for token in set(document)))
+        indices.extend(interner.intern_set(document))
         indptr.append(len(indices))
     return _Feature(
         indptr=np.asarray(indptr, dtype=np.int64),
@@ -283,10 +290,15 @@ def _path_documents(profile: SchemaProfile) -> list[list[str]]:
 _DENSE_GATHER_LIMIT = 4_000_000
 
 
+def densify(product: sparse.spmatrix | np.ndarray) -> np.ndarray:
+    """A pair-product as a dense array."""
+    return product if isinstance(product, np.ndarray) else product.toarray()
+
+
 def gather_pairs(
-    product: sparse.spmatrix, rows: np.ndarray, cols: np.ndarray
+    product: sparse.spmatrix | np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
-    """Values of a sparse pair-product at explicit (row, col) pairs.
+    """Values of a pair-product at explicit (row, col) pairs.
 
     For interactive-scale grids densifying once and indexing is the
     fastest gather; beyond :data:`_DENSE_GATHER_LIMIT` cells the dense
@@ -294,10 +306,10 @@ def gather_pairs(
     structure and binary-searches it -- memory stays proportional to the
     product's nonzeros, work to the candidates.
     """
-    matrix = product.tocsr()
-    n_rows, n_cols = matrix.shape
+    n_rows, n_cols = product.shape
     if n_rows * n_cols <= _DENSE_GATHER_LIMIT:
-        return matrix.toarray()[rows, cols]
+        return densify(product)[rows, cols]
+    matrix = product.tocsr()
     matrix.sum_duplicates()
     matrix.sort_indices()
     if matrix.nnz == 0:
@@ -350,6 +362,8 @@ class FeatureSpace:
         self._features: dict[tuple[int, str], _Feature] = {}
         self._vectors: dict[tuple[int, str], np.ndarray] = {}
         self._pinned: dict[int, object] = {}
+        #: Dense set products served by :meth:`stacked` while its block runs.
+        self._products: dict[tuple[int, int, str], np.ndarray] = {}
         #: Reentrant on purpose: pair-level methods re-enter :meth:`feature`.
         self.lock = threading.RLock()
 
@@ -360,6 +374,7 @@ class FeatureSpace:
             self._features.clear()
             self._vectors.clear()
             self._pinned.clear()
+            self._products.clear()
 
     def evict(self, profile: SchemaProfile) -> None:
         """Drop ``profile``'s cached features and vectors, and its pin.
@@ -402,6 +417,12 @@ class FeatureSpace:
             ]
         raise ValueError(f"unknown feature kind {kind!r}")
 
+    def _key(self, kind: str, lexicon: SynonymLexicon | None) -> str:
+        """A kind's cache key: canonical features are kept per lexicon."""
+        if kind != "canonical":
+            return kind
+        return f"canonical:{id(lexicon if lexicon is not None else self.lexicon)}"
+
     def feature(
         self,
         profile: SchemaProfile,
@@ -410,11 +431,7 @@ class FeatureSpace:
     ) -> _Feature:
         """The cached raw feature for ``profile`` (built on first request)."""
         lexicon = lexicon if lexicon is not None else self.lexicon
-        cache_key = (
-            (id(profile), f"canonical:{id(lexicon)}")
-            if kind == "canonical"
-            else (id(profile), kind)
-        )
+        cache_key = (id(profile), self._key(kind, lexicon))
         with self.lock:
             cached = self._features.get(cache_key)
             if cached is None:
@@ -475,17 +492,71 @@ class FeatureSpace:
         lexicon: SynonymLexicon | None = None,
         source_positions: np.ndarray | None = None,
         target_positions: np.ndarray | None = None,
-    ) -> sparse.csr_matrix:
-        """Pairwise intersection counts of a set feature, as a sparse product.
+    ) -> sparse.csr_matrix | np.ndarray:
+        """Pairwise intersection counts of a set feature, as a sparse product
+        (a dense one while :meth:`stacked` serves it).
 
         Rows and columns are sliced *before* the product, so a restricted
-        grid costs in proportion to its own size.  Densify it for a grid,
-        or :func:`gather_pairs` it at candidate pairs.
+        grid costs in proportion to its own size.  :func:`densify` it for a
+        grid, or :func:`gather_pairs` it at candidate pairs.
         """
+        if source_positions is None and target_positions is None:
+            served = self._products.get(
+                (id(source), id(target), self._key(kind, lexicon))
+            )
+            if served is not None:
+                return served
         source_matrix, target_matrix = self._matrices(
             source, target, kind, lexicon, source_positions, target_positions
         )
         return source_matrix @ target_matrix.T
+
+    @contextmanager
+    def stacked(self, source: SchemaProfile, targets: Sequence[SchemaProfile]):
+        """Within the block, serve :meth:`set_product` of ``source`` against
+        each target from one product per set feature they all hold.
+
+        A query matched against many schemata then pays scipy's per-call
+        overhead once per kind, not once per pair.  Set products are
+        integer counts, so a served product equals the per-pair one
+        exactly.  A stack over :data:`_DENSE_GATHER_LIMIT` cells is not
+        built, since its products would all be held at once.
+        """
+        stacks = []
+        if 0 < len(source) * sum(map(len, targets)) <= _DENSE_GATHER_LIMIT:
+            with self.lock:
+                for profile_id, key in list(self._features):
+                    if profile_id != id(source) or key in self._BAG_KINDS:
+                        continue
+                    features = [self._features.get((id(t), key)) for t in targets]
+                    if all(feature is not None for feature in features):
+                        source_matrix = self._features[(profile_id, key)].matrix()
+                        stacks.append((key, source_matrix, features))
+        bounds = np.cumsum([0, *(len(target) for target in targets)])
+        served = []
+        for key, source_matrix, features in stacks:
+            # The targets' raw rows, stacked at the source's width.
+            offsets = np.cumsum([0, *(f.indptr[-1] for f in features)])
+            stack = sparse.csr_matrix(
+                (
+                    np.concatenate([f.data for f in features]),
+                    np.concatenate([f.indices for f in features]),
+                    np.concatenate(
+                        [f.indptr[:-1] + o for f, o in zip(features, offsets)]
+                        + [offsets[-1:]]
+                    ),
+                ),
+                shape=(bounds[-1], source_matrix.shape[1]),
+            )
+            product = (source_matrix @ stack.T).toarray()
+            for target, start, stop in zip(targets, bounds[:-1], bounds[1:]):
+                served.append((id(source), id(target), key))
+                self._products[served[-1]] = product[:, start:stop]
+        try:
+            yield
+        finally:
+            for served_key in served:
+                self._products.pop(served_key, None)
 
     # -- derived per-profile vectors ------------------------------------
     def _vector(self, profile: SchemaProfile, key: str, build) -> np.ndarray:

@@ -14,12 +14,15 @@ The voter computes its own internal linguistic base (the thesaurus voter's
 canonicalised name-token Jaccard, from the shared canonical feature cache)
 so it is self-contained and usable in ablations, at the cost of one extra
 sparse product per run.  A restricted grid takes children and parents from
-inside the grid only.  All bulk assignments are vectorised; the only
-Python-level loop is over container x container pairs (hundreds, not the
-10^6 full grid).
+inside the grid only.  The grid and the candidate-pair kernel share one
+vectorised body, :meth:`StructuralVoter._ratios`: the grid broadcasts it
+over every (row, column), the pair kernel gathers it at the given pairs,
+and container pairs go through one padded mean-best-match.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,9 +34,42 @@ from repro.text.thesaurus import SynonymLexicon
 __all__ = ["StructuralVoter"]
 
 
-def _grid(profile: SchemaProfile, positions: np.ndarray | None) -> np.ndarray:
-    """The grid's element positions (every element when unrestricted)."""
-    return positions if positions is not None else np.arange(len(profile), dtype=int)
+class _Layout(NamedTuple):
+    """One grid side's tree, in the coordinates of the linguistic base."""
+
+    children: Sequence[Sequence[int]]
+    parent: np.ndarray  # -1 for roots and for parents outside the grid
+    container: np.ndarray  # has a child in the grid
+
+
+def _layout(profile: SchemaProfile, positions: np.ndarray | None) -> _Layout:
+    """A side's layout: the profile's own, or remapped to grid-local positions.
+
+    A restricted side keeps only in-grid children, and a parent outside
+    the grid becomes -1, so a restricted grid is scored as a grid of its
+    own.
+    """
+    parent = profile.parent_index
+    if positions is not None:
+        # One slot past the end stays -1, so a root's parent (-1) maps to -1.
+        local = np.full(len(profile) + 1, -1, dtype=int)
+        local[positions] = np.arange(len(positions))
+        parent = local[parent[positions]]
+    kept = np.flatnonzero(parent >= 0)
+    counts = np.bincount(parent[kept], minlength=len(parent))
+    if positions is None:
+        return _Layout(profile.children_index, parent, counts > 0)
+    # Grouped by parent, children keep the profile's order.
+    kept = kept[np.lexsort((positions[kept], parent[kept]))]
+    return _Layout(np.split(kept, np.cumsum(counts)[:-1]), parent, counts > 0)
+
+
+def _padded(children: Sequence[Sequence[int]], positions: np.ndarray) -> np.ndarray:
+    """The positions' children lists as rows of a rectangle, padded with -1."""
+    padded = np.full((len(positions), max(len(children[p]) for p in positions)), -1)
+    for row, position in enumerate(positions):
+        padded[row, : len(children[position])] = children[position]
+    return padded
 
 
 class StructuralVoter(MatchVoter):
@@ -55,18 +91,8 @@ class StructuralVoter(MatchVoter):
         #: The linguistic base: thesaurus-canonicalised name-token Jaccard.
         self._names = ThesaurusVoter(lexicon=self.lexicon)
 
-    @staticmethod
-    def _grid_children(
-        profile: SchemaProfile, in_grid: dict[int, int], grid: np.ndarray
-    ) -> list[list[int]]:
-        return [
-            [
-                in_grid[child]
-                for child in profile.children_index[position]
-                if child in in_grid
-            ]
-            for position in grid
-        ]
+    def warm(self, profile, space):
+        self._names.warm(profile, space)
 
     def grid_ratios(
         self, source, target, space, source_positions=None, target_positions=None
@@ -74,61 +100,54 @@ class StructuralVoter(MatchVoter):
         base, _ = self._names.grid_ratios(
             source, target, space, source_positions, target_positions
         )
-        return self._ratios_from_base(
-            base,
-            source,
-            target,
-            _grid(source, source_positions),
-            _grid(target, target_positions),
+        return self._ratios(
+            base, _layout(source, source_positions), _layout(target, target_positions)
         )
 
-    def _ratios_from_base(
+    def fast_ratios(self, source, target, space, rows, cols):
+        base, _ = self._names.grid_ratios(source, target, space)
+        return self._ratios(
+            base, _layout(source, None), _layout(target, None), rows, cols
+        )
+
+    def _ratios(
         self,
         base: np.ndarray,
-        source: SchemaProfile,
-        target: SchemaProfile,
-        source_grid: np.ndarray,
-        target_grid: np.ndarray,
+        source: _Layout,
+        target: _Layout,
+        rows: np.ndarray | None = None,
+        cols: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Structural similarity/evidence over a grid given its linguistic base.
+        """Structural similarity/evidence given the linguistic base.
 
-        Children and parents count only where they lie inside the grid.
+        Over the whole grid when ``rows`` is None (broadcast, as
+        :func:`~repro.matchers.base.gather_outer` does), else at the
+        explicit (row, col) pairs.
         """
-        source_in_grid = {position: row for row, position in enumerate(source_grid)}
-        target_in_grid = {position: col for col, position in enumerate(target_grid)}
-        source_children = self._grid_children(source, source_in_grid, source_grid)
-        target_children = self._grid_children(target, target_in_grid, target_grid)
+        if rows is None:
+            rows = np.arange(base.shape[0])[:, None]
+            cols = np.arange(base.shape[1])[None, :]
+        container_row = source.container[rows]
+        container_col = target.container[cols]
+        shape = np.broadcast_shapes(rows.shape, cols.shape)
+        similarity = np.zeros(shape)
+        evidence = np.zeros(shape)
 
-        similarity = np.zeros_like(base)
-        evidence = np.zeros_like(base)
-
-        container_rows = [row for row, kids in enumerate(source_children) if kids]
-        container_cols = [col for col, kids in enumerate(target_children) if kids]
-        leaf_rows = np.array(
-            [row for row, kids in enumerate(source_children) if not kids], dtype=int
-        )
-        leaf_cols = np.array(
-            [col for col, kids in enumerate(target_children) if not kids], dtype=int
-        )
-
-        # Container vs leaf: mild structural contradiction (bulk assignment).
-        if container_rows and leaf_cols.size:
-            similarity[np.ix_(container_rows, leaf_cols)] = 0.1
-            evidence[np.ix_(container_rows, leaf_cols)] = 1.0
-        if leaf_rows.size and container_cols:
-            similarity[np.ix_(leaf_rows, container_cols)] = 0.1
-            evidence[np.ix_(leaf_rows, container_cols)] = 1.0
+        # Container vs leaf: mild structural contradiction.
+        mixed = container_row != container_col
+        similarity[mixed] = 0.1
+        evidence[mixed] = 1.0
 
         # Container vs container: symmetrised mean-best-match of children.
-        for row in container_rows:
-            source_kids = source_children[row]
-            for col in container_cols:
-                target_kids = target_children[col]
-                block = base[np.ix_(source_kids, target_kids)]
-                forward = block.max(axis=1).mean()
-                backward = block.max(axis=0).mean()
-                similarity[row, col] = 0.5 * (forward + backward)
-                evidence[row, col] = min(len(source_kids), len(target_kids))
+        both = container_row & container_col
+        if both.any():
+            similarity[both], evidence[both] = self._container_pair_scores(
+                base,
+                source.children,
+                target.children,
+                np.broadcast_to(rows, shape)[both],
+                np.broadcast_to(cols, shape)[both],
+            )
 
         # Leaf vs leaf: inherit the parents' *name* similarity as context.
         # Parent names discriminate concepts sharply (children blocks do
@@ -136,40 +155,22 @@ class StructuralVoter(MatchVoter):
         # is what disambiguates the SOURCE_SYSTEM-style columns that appear
         # everywhere: only the pair under linguistically-aligned parents
         # gets reinforced.  ``leaf_context_evidence`` sets how assertive
-        # that context vote is.
-        if leaf_rows.size and leaf_cols.size:
-            source_parent_row = np.array(
-                [
-                    source_in_grid.get(source.parent_index[source_grid[row]], -1)
-                    for row in leaf_rows
-                ],
-                dtype=int,
-            )
-            target_parent_col = np.array(
-                [
-                    target_in_grid.get(target.parent_index[target_grid[col]], -1)
-                    for col in leaf_cols
-                ],
-                dtype=int,
-            )
-            valid_rows = source_parent_row >= 0
-            valid_cols = target_parent_col >= 0
-            if valid_rows.any() and valid_cols.any():
-                rows = leaf_rows[valid_rows]
-                cols = leaf_cols[valid_cols]
-                parent_ix = np.ix_(
-                    source_parent_row[valid_rows], target_parent_col[valid_cols]
-                )
-                similarity[np.ix_(rows, cols)] = base[parent_ix]
-                evidence[np.ix_(rows, cols)] = self.leaf_context_evidence
-
+        # that context vote is.  A parent of -1 (a root, or outside the
+        # grid) gathers a stray cell that the mask drops.
+        parent_rows = source.parent[rows]
+        parent_cols = target.parent[cols]
+        leaves = (
+            ~(container_row | container_col) & (parent_rows >= 0) & (parent_cols >= 0)
+        )
+        np.copyto(similarity, base[parent_rows, parent_cols], where=leaves)
+        evidence[leaves] = self.leaf_context_evidence
         return similarity, evidence
 
     @staticmethod
     def _container_pair_scores(
         base: np.ndarray,
-        source_children: list[list[int]],
-        target_children: list[list[int]],
+        source_children: Sequence[Sequence[int]],
+        target_children: Sequence[Sequence[int]],
         pair_rows: np.ndarray,
         pair_cols: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -182,24 +183,12 @@ class StructuralVoter(MatchVoter):
         """
         unique_rows, inverse_rows = np.unique(pair_rows, return_inverse=True)
         unique_cols, inverse_cols = np.unique(pair_cols, return_inverse=True)
-        width_s = max(len(source_children[i]) for i in unique_rows)
-        width_t = max(len(target_children[j]) for j in unique_cols)
-        padded_s = np.full((unique_rows.size, width_s), -1, dtype=int)
-        kid_counts_s = np.empty(unique_rows.size)
-        for k, position in enumerate(unique_rows):
-            kids = source_children[position]
-            padded_s[k, : len(kids)] = kids
-            kid_counts_s[k] = len(kids)
-        padded_t = np.full((unique_cols.size, width_t), -1, dtype=int)
-        kid_counts_t = np.empty(unique_cols.size)
-        for k, position in enumerate(unique_cols):
-            kids = target_children[position]
-            padded_t[k, : len(kids)] = kids
-            kid_counts_t[k] = len(kids)
+        padded_s = _padded(source_children, unique_rows)
+        padded_t = _padded(target_children, unique_cols)
 
         augmented = np.pad(base, ((0, 1), (0, 1)), constant_values=-1.0)
         similarity = np.empty(pair_rows.size)
-        chunk = max(1, 4_000_000 // max(width_s * width_t, 1))
+        chunk = max(1, 1_000_000 // (padded_s.shape[1] * padded_t.shape[1]))
         for start in range(0, pair_rows.size, chunk):
             stop = min(start + chunk, pair_rows.size)
             rows_k = padded_s[inverse_rows[start:stop]]
@@ -216,38 +205,8 @@ class StructuralVoter(MatchVoter):
                 / valid_t.sum(axis=1)
             )
             similarity[start:stop] = 0.5 * (forward + backward)
-        evidence = np.minimum(kid_counts_s[inverse_rows], kid_counts_t[inverse_cols])
-        return similarity, evidence
-
-    def fast_ratios(self, source, target, space, rows, cols):
-        base, _ = self._names.grid_ratios(source, target, space)
-        source_children = source.children_index
-        target_children = target.children_index
-        is_container_s = np.fromiter(
-            (bool(kids) for kids in source_children), bool, len(source_children)
+        evidence = np.minimum(
+            (padded_s >= 0).sum(axis=1)[inverse_rows],
+            (padded_t >= 0).sum(axis=1)[inverse_cols],
         )
-        is_container_t = np.fromiter(
-            (bool(kids) for kids in target_children), bool, len(target_children)
-        )
-        similarity = np.zeros(rows.size)
-        evidence = np.zeros(rows.size)
-
-        container_row = is_container_s[rows]
-        container_col = is_container_t[cols]
-        mixed = container_row ^ container_col
-        similarity[mixed] = 0.1
-        evidence[mixed] = 1.0
-
-        both = container_row & container_col
-        if both.any():
-            similarity[both], evidence[both] = self._container_pair_scores(
-                base, source_children, target_children, rows[both], cols[both]
-            )
-
-        leaves = ~container_row & ~container_col
-        parent_rows = source.parent_index[rows]
-        parent_cols = target.parent_index[cols]
-        valid = leaves & (parent_rows >= 0) & (parent_cols >= 0)
-        similarity[valid] = base[parent_rows[valid], parent_cols[valid]]
-        evidence[valid] = self.leaf_context_evidence
         return similarity, evidence

@@ -806,11 +806,12 @@ class PooledSqliteBackend:
     def fingerprint_hashes(self) -> dict[str, str]:
         """name -> content hash for every fingerprint, in one query.
 
-        The staleness probe of the corpus index; json_extract keeps it to
-        one small entry per schema instead of parsing whole term bags.
+        The staleness probe of the corpus index: one small entry per
+        schema instead of whole term bags.  ``->`` hands the hash over as
+        JSON text, whole; ``json_extract`` would cut it at an escaped NUL.
         """
         hashes = self._read_json(
-            "SELECT json_group_object(name, json_extract(payload, '$.hash'))"
+            "SELECT json_group_object(name, payload -> '$.hash')"
             " FROM corpus_fingerprints"
         )
         return {name: value or "" for name, value in hashes.items()}

@@ -131,6 +131,88 @@ def path(voter, source, target, source_positions=None, target_positions=None):
     return similarity, _min_outer(_set_sizes(source_paths), _set_sizes(target_paths))
 
 
+def _grid_children(profile, in_grid, grid):
+    return [
+        [
+            in_grid[child]
+            for child in profile.children_index[position]
+            if child in in_grid
+        ]
+        for position in grid
+    ]
+
+
+def _structure_from_base(
+    leaf_context_evidence, base, source, target, source_grid, target_grid
+):
+    """The structure voter's former per-grid body: in-grid dict remaps and
+    a Python loop over container x container pairs."""
+    source_in_grid = {position: row for row, position in enumerate(source_grid)}
+    target_in_grid = {position: col for col, position in enumerate(target_grid)}
+    source_children = _grid_children(source, source_in_grid, source_grid)
+    target_children = _grid_children(target, target_in_grid, target_grid)
+
+    similarity = np.zeros_like(base)
+    evidence = np.zeros_like(base)
+
+    container_rows = [row for row, kids in enumerate(source_children) if kids]
+    container_cols = [col for col, kids in enumerate(target_children) if kids]
+    leaf_rows = np.array(
+        [row for row, kids in enumerate(source_children) if not kids], dtype=int
+    )
+    leaf_cols = np.array(
+        [col for col, kids in enumerate(target_children) if not kids], dtype=int
+    )
+
+    # Container vs leaf: mild structural contradiction (bulk assignment).
+    if container_rows and leaf_cols.size:
+        similarity[np.ix_(container_rows, leaf_cols)] = 0.1
+        evidence[np.ix_(container_rows, leaf_cols)] = 1.0
+    if leaf_rows.size and container_cols:
+        similarity[np.ix_(leaf_rows, container_cols)] = 0.1
+        evidence[np.ix_(leaf_rows, container_cols)] = 1.0
+
+    # Container vs container: symmetrised mean-best-match of children.
+    for row in container_rows:
+        source_kids = source_children[row]
+        for col in container_cols:
+            target_kids = target_children[col]
+            block = base[np.ix_(source_kids, target_kids)]
+            forward = block.max(axis=1).mean()
+            backward = block.max(axis=0).mean()
+            similarity[row, col] = 0.5 * (forward + backward)
+            evidence[row, col] = min(len(source_kids), len(target_kids))
+
+    # Leaf vs leaf: inherit the parents' name similarity as context.
+    if leaf_rows.size and leaf_cols.size:
+        source_parent_row = np.array(
+            [
+                source_in_grid.get(source.parent_index[source_grid[row]], -1)
+                for row in leaf_rows
+            ],
+            dtype=int,
+        )
+        target_parent_col = np.array(
+            [
+                target_in_grid.get(target.parent_index[target_grid[col]], -1)
+                for col in leaf_cols
+            ],
+            dtype=int,
+        )
+        valid_rows = source_parent_row >= 0
+        valid_cols = target_parent_col >= 0
+        if valid_rows.any() and valid_cols.any():
+            rows = leaf_rows[valid_rows]
+            cols = leaf_cols[valid_cols]
+            parent_ix = np.ix_(
+                source_parent_row[valid_rows], target_parent_col[valid_cols]
+            )
+            similarity[np.ix_(rows, cols)] = base[parent_ix]
+            evidence[np.ix_(rows, cols)] = leaf_context_evidence
+
+    return similarity, evidence
+
+
 def structure(voter, source, target, source_positions=None, target_positions=None):
     source_grid = _grid(source, source_positions)
     target_grid = _grid(target, target_positions)
@@ -138,7 +220,9 @@ def structure(voter, source, target, source_positions=None, target_positions=Non
         _canonical_terms(voter.lexicon, source, source_grid),
         _canonical_terms(voter.lexicon, target, target_grid),
     )
-    return voter._ratios_from_base(base, source, target, source_grid, target_grid)
+    return _structure_from_base(
+        voter.leaf_context_evidence, base, source, target, source_grid, target_grid
+    )
 
 
 #: Voter name -> reference kernel.

@@ -227,6 +227,9 @@ class TestBulkSchemata:
         backend.put_fingerprint("X\x00y", {"hash": "one", "terms": {}})
         assert backend.get_fingerprint("X") == {"hash": "h1", "terms": {}}
         assert backend.get_fingerprint("X\x00y") == {"hash": "one", "terms": {}}
+        # A NUL inside a hash survives the one-query hash probe.
+        backend.put_fingerprint("X", {"hash": "re-X\x00y", "terms": {}})
+        assert backend.fingerprint_hashes() == {"X": "re-X\x00y", "X\x00y": "one"}
 
 
 class TestMatches:

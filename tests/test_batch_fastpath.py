@@ -211,6 +211,50 @@ class TestBlocking:
 
 
 class TestRunner:
+    @pytest.mark.parametrize(
+        "voters, reads_text",
+        [(None, False), ([DescribingTextVoter(), ExactNameVoter()], True)],
+        ids=["default", "describing_text+exact_name"],
+    )
+    def test_warm_builds_what_the_runner_reads(
+        self, small_pair, monkeypatch, voters, reads_text
+    ):
+        import repro.matchers.profile as profile_module
+
+        bags, raw_names = [], []
+        bag_feature = profile_module._bag_feature
+        monkeypatch.setattr(
+            profile_module,
+            "_bag_feature",
+            lambda documents, interner: bags.append(documents)
+            or bag_feature(documents, interner),
+        )
+        raw_name_ids = FeatureSpace.raw_name_ids
+        monkeypatch.setattr(
+            FeatureSpace,
+            "raw_name_ids",
+            lambda space, profile: raw_names.append(profile)
+            or raw_name_ids(space, profile),
+        )
+        runner = BatchMatchRunner(voters=voters)
+        schemata = [small_pair.source.schema, small_pair.target.schema]
+        runner.warm(schemata)
+        profiles = [runner.profile(schema) for schema in schemata]
+        text_bags = [
+            documents
+            for documents in bags
+            if any(documents is profile.text_terms for profile in profiles)
+        ]
+        assert len(text_bags) == (2 if reads_text else 0)
+        assert {id(profile) for profile in raw_names} == (
+            {id(profile) for profile in profiles} if reads_text else set()
+        )
+        # Warm built everything a match reads: matching builds nothing new.
+        features, vectors = dict(runner.space._features), dict(runner.space._vectors)
+        runner.match_pair(*schemata)
+        assert runner.space._features == features
+        assert runner.space._vectors == vectors
+
     def test_candidate_scores_are_exact(self, small_pair, small_pair_result):
         runner = BatchMatchRunner()
         result = runner.match_pair(small_pair.source.schema, small_pair.target.schema)
@@ -271,6 +315,23 @@ class TestRunner:
         assert [outcome.target_name for outcome in outcomes] == ["A", "B"]
         assert all(outcome.matrix is not None for outcome in outcomes)
         assert all(outcome.n_candidates > 0 for outcome in outcomes)
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_corpus_sweep_equals_per_pair_matches(self, small_pair, executor):
+        # The sweep serves set products from one stacked product per kind.
+        corpus = {
+            f"T{seed}": generate_pair(PairSpec(), seed=seed).target.schema
+            for seed in (5, 6, 7)
+        }
+        corpus["B"] = small_pair.target.schema
+        runner = BatchMatchRunner(executor=executor, max_workers=2)
+        outcomes = runner.match_corpus(small_pair.source.schema, corpus)
+        assert runner.space._products == {}
+        for outcome in outcomes:
+            single = runner.match_pair(
+                small_pair.source.schema, corpus[outcome.target_name]
+            )
+            assert np.array_equal(outcome.matrix.scores, single.matrix.scores)
 
     def test_corpus_source_name_survives_collision(self, small_pair):
         # A registry may already hold a schema with the source's name (e.g.

@@ -6,8 +6,9 @@ with the reference in ``tests/reference_kernels.py``, which re-tokenises
 and fits over the grid's own documents.  Restrictions are seeded random
 element sets -- deliberately *not* closed subtrees, so structure's in-grid
 children/parents and documentation's grid-fit IDF are exercised -- plus
-a target-side restriction, single rows, and elements with no
-documentation.
+a target-side restriction, single rows, elements with no documentation,
+a container that keeps none of its children, and sides without a
+container.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.matchers import (
     build_profile,
     default_voters,
 )
+from repro.matchers.profile import densify
 from repro.synthetic import PairSpec, generate_clustered_corpus, generate_pair
 from tests.reference_kernels import REFERENCE_KERNELS
 
@@ -57,6 +59,10 @@ def random_restriction(rng, profile, size):
     return positions
 
 
+def _containers(profile):
+    return np.array([p for p in range(len(profile)) if profile.children_index[p]])
+
+
 def restrictions(source, target):
     """(source_positions, target_positions) cases; see the module docstring."""
     rng = np.random.default_rng(2027)
@@ -76,6 +82,12 @@ def restrictions(source, target):
     # A random restriction that includes an undocumented element.
     mixed = np.union1d(random_restriction(rng, source, 15), undocumented[:2])
     cases.append((mixed, None))
+    # Structure: a container that keeps none of its children beside one
+    # that keeps them all, and sides without a single container.
+    childless, whole = _containers(source)[:2]
+    cases.append((np.sort([childless, whole, *source.children_index[whole]]), None))
+    cases.append((source.leaf_positions()[::3], None))
+    cases.append((None, target.leaf_positions()[::3]))
     return cases
 
 
@@ -135,6 +147,53 @@ def test_kernels_share_one_feature_space(profiles, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("voter", fast_path_voters(), ids=lambda v: v.name)
+def test_warm_builds_every_feature_the_kernels_read(voter, profiles):
+    source, target = profiles
+    space = FeatureSpace()
+    voter.warm(source, space)
+    voter.warm(target, space)
+    built = (set(space._features), set(space._vectors))
+    assert built != (set(), set())
+    voter.vote(source, target, np.arange(10), space=space)
+    voter.fast_ratios(source, target, space, np.array([0, 1]), np.array([2, 3]))
+    assert (set(space._features), set(space._vectors)) == built
+
+
+def test_stacked_set_products_equal_the_per_pair_ones(profiles):
+    source, target = profiles
+    others = [
+        build_profile(generated.schema)
+        for generated in generate_clustered_corpus(
+            n_domains=2, schemata_per_domain=2, seed=3
+        ).schemata
+    ]
+    targets = [target, *others]
+    space = FeatureSpace()
+    voters = fast_path_voters()
+    for profile in (source, *targets):
+        space.feature(profile, "doc_sets")
+        for voter in voters:
+            voter.warm(profile, space)
+    kinds = [(voter.kind, voter.lexicon) for voter in voters if hasattr(voter, "dice")]
+    kinds.append(("doc_sets", None))
+    with space.stacked(source, targets):
+        served = [
+            densify(space.set_product(source, t, kind, lexicon))
+            for t in targets
+            for kind, lexicon in kinds
+        ]
+        assert len(space._products) == len(targets) * len(kinds)
+    assert space._products == {}
+    computed = [
+        space.set_product(source, t, kind, lexicon).toarray()
+        for t in targets
+        for kind, lexicon in kinds
+    ]
+    for old, new in zip(computed, served):
+        assert np.array_equal(old, new)
+
+
 def test_restricted_grid_keeps_its_own_semantics(profiles):
     """A restricted grid is scored as a grid of its own, not a slice.
 
@@ -187,3 +246,17 @@ def test_scores_do_not_depend_on_what_else_the_space_holds():
         again_grid = voter.grid_ratios(source, target, space)
         for old, new in zip(pairs + grid, again_pairs + again_grid):
             assert np.array_equal(old, new), voter.name
+
+
+@pytest.mark.parametrize("side", ["source", "target", "both"])
+def test_structure_layout_of_every_position_is_the_profiles_own(profiles, side):
+    # Remapping all positions must reproduce the as-is layout exactly.
+    source, target = profiles
+    voter = StructuralVoter()
+    space = FeatureSpace()
+    source_positions = np.arange(len(source)) if side != "target" else None
+    target_positions = np.arange(len(target)) if side != "source" else None
+    remapped = voter.grid_ratios(source, target, space, source_positions, target_positions)
+    as_is = voter.grid_ratios(source, target, space)
+    for new, old in zip(remapped, as_is):
+        assert np.array_equal(new, old)
