@@ -26,7 +26,6 @@ synonym canonicalisation -- which is what the voters' bulk
 from __future__ import annotations
 
 import threading
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -57,21 +56,24 @@ class SchemaProfile:
 
     All list attributes are indexed by element *position* -- the index of the
     element in schema iteration order -- and ``index_of`` maps element ids to
-    positions.
+    positions.  Per-element sequences are tuples: the term tuples are the
+    linguistic pipeline's memoised ones, shared rather than copied, and a
+    tuple of strings or ints drops out of the garbage collector's scans,
+    where a list would stay tracked for the profile's lifetime.
     """
 
     schema: Schema
     element_ids: list[str]
     index_of: dict[str, int]
-    name_terms: list[list[str]]
-    doc_terms: list[list[str]]
-    text_terms: list[list[str]]
-    name_grams: list[list[str]]
+    name_terms: list[tuple[str, ...]]
+    doc_terms: list[tuple[str, ...]]
+    text_terms: list[tuple[str, ...]]
+    name_grams: list[tuple[str, ...]]
     raw_names: list[str]
     data_types: list[DataType]
     depths: np.ndarray
     parent_index: np.ndarray  # -1 for roots
-    children_index: list[list[int]]
+    children_index: list[tuple[int, ...]]
 
     def __len__(self) -> int:
         return len(self.element_ids)
@@ -114,10 +116,10 @@ def build_profile(
 
     element_ids: list[str] = []
     index_of: dict[str, int] = {}
-    name_terms: list[list[str]] = []
-    doc_terms: list[list[str]] = []
-    text_terms: list[list[str]] = []
-    name_grams: list[list[str]] = []
+    name_terms: list[tuple[str, ...]] = []
+    doc_terms: list[tuple[str, ...]] = []
+    text_terms: list[tuple[str, ...]] = []
+    name_grams: list[tuple[str, ...]] = []
     raw_names: list[str] = []
     data_types: list[DataType] = []
     depths: list[int] = []
@@ -127,13 +129,17 @@ def build_profile(
     for position, element in enumerate(schema):
         element_ids.append(element.element_id)
         index_of[element.element_id] = position
-        element_name_terms = names.terms(element.name)
-        element_doc_terms = docs.terms(element.documentation) if element.documentation else []
+        element_name_terms = names.shared_terms(element.name)
+        element_doc_terms = (
+            docs.shared_terms(element.documentation) if element.documentation else ()
+        )
         name_terms.append(element_name_terms)
         doc_terms.append(element_doc_terms)
-        text_terms.append(element_name_terms + element_doc_terms)
+        text_terms.append(
+            element_name_terms + element_doc_terms if element_doc_terms else element_name_terms
+        )
         raw_names.append(element.name.lower())
-        name_grams.append(char_ngrams(element.name.lower(), 3))
+        name_grams.append(tuple(char_ngrams(element.name.lower(), 3)))
         data_types.append(element.data_type)
         depths.append(schema.depth(element))
         children_index.append([])
@@ -158,7 +164,7 @@ def build_profile(
         data_types=data_types,
         depths=np.array(depths, dtype=int),
         parent_index=np.array(parent_positions, dtype=int),
-        children_index=children_index,
+        children_index=[tuple(children) for children in children_index],
     )
 
 
@@ -196,10 +202,19 @@ class TokenInterner:
         self._index[token] = new_id
         return new_id
 
-    def intern_set(self, tokens: Sequence[str]) -> list[int]:
-        """Sorted ids of the distinct tokens, interning the new ones."""
+    def intern_rows(
+        self, documents: Sequence[Sequence[str]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Row number and id of every token of ``documents``, in order,
+        interning each new token as it first appears."""
         index = self._index
-        return sorted({index.setdefault(token, len(index)) for token in tokens})
+        ids = [
+            index.setdefault(token, len(index))
+            for document in documents
+            for token in document
+        ]
+        rows = np.repeat(np.arange(len(documents)), [len(d) for d in documents])
+        return rows, np.asarray(ids, dtype=np.int64)
 
 
 @dataclass
@@ -236,40 +251,33 @@ class _Feature:
         return np.diff(self.indptr).astype(float)
 
 
-def _set_feature(documents: Sequence[Sequence[str]], interner: TokenInterner) -> _Feature:
-    """Binary set-incidence rows (one per document) over ``interner``."""
-    indptr = [0]
-    indices: list[int] = []
-    for document in documents:
-        indices.extend(interner.intern_set(document))
-        indptr.append(len(indices))
+def _rows_feature(
+    documents: Sequence[Sequence[str]], interner: TokenInterner, counts: bool
+) -> _Feature:
+    """Canonical CSR rows (sorted, duplicate-free ids) of ``documents``:
+    token counts when ``counts``, else ones."""
+    rows, ids = interner.intern_rows(documents)
+    width = max(len(interner), 1)
+    keys, multiplicity = np.unique(rows * width + ids, return_counts=True)
+    key_rows = keys // width
+    indptr = np.zeros(len(documents) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key_rows, minlength=len(documents)), out=indptr[1:])
     return _Feature(
-        indptr=np.asarray(indptr, dtype=np.int64),
-        indices=np.asarray(indices, dtype=np.int64),
-        data=np.ones(len(indices), dtype=np.float64),
+        indptr=indptr,
+        indices=keys - key_rows * width,
+        data=multiplicity.astype(np.float64) if counts else np.ones(len(keys)),
         interner=interner,
     )
+
+
+def _set_feature(documents: Sequence[Sequence[str]], interner: TokenInterner) -> _Feature:
+    """Binary set-incidence rows (one per document) over ``interner``."""
+    return _rows_feature(documents, interner, counts=False)
 
 
 def _bag_feature(documents: Sequence[Sequence[str]], interner: TokenInterner) -> _Feature:
     """Token-count rows (bags, for TF-IDF) over ``interner``."""
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for document in documents:
-        row = sorted(
-            (interner.intern(token), float(count))
-            for token, count in Counter(document).items()
-        )
-        indices.extend(token_id for token_id, _ in row)
-        data.extend(count for _, count in row)
-        indptr.append(len(indices))
-    return _Feature(
-        indptr=np.asarray(indptr, dtype=np.int64),
-        indices=np.asarray(indices, dtype=np.int64),
-        data=np.asarray(data, dtype=np.float64),
-        interner=interner,
-    )
+    return _rows_feature(documents, interner, counts=True)
 
 
 def _path_documents(profile: SchemaProfile) -> list[list[str]]:

@@ -186,7 +186,8 @@ class StructuralVoter(MatchVoter):
         padded_s = _padded(source_children, unique_rows)
         padded_t = _padded(target_children, unique_cols)
 
-        augmented = np.pad(base, ((0, 1), (0, 1)), constant_values=-1.0)
+        augmented = np.full((base.shape[0] + 1, base.shape[1] + 1), -1.0)
+        augmented[:-1, :-1] = base
         similarity = np.empty(pair_rows.size)
         chunk = max(1, 1_000_000 // (padded_s.shape[1] * padded_t.shape[1]))
         for start in range(0, pair_rows.size, chunk):

@@ -343,6 +343,32 @@ def _chunked(names: Sequence[str], size: int = _IN_CHUNK):
         yield ordered[start : start + size]
 
 
+def _upserts(table: str, rows: dict[str, dict]) -> list[tuple]:
+    """``INSERT OR REPLACE`` statements for ``name -> payload`` rows of
+    ``table``: one multi-row statement per ``_IN_CHUNK // 2`` rows.
+
+    sqlite3 releases the interpreter lock around every statement it
+    steps, so one INSERT per row costs a writer racing a busy thread up
+    to a switch interval per row (see :meth:`PooledSqliteBackend._read_json`).
+    The values stay bound parameters: unlike a ``json_each`` insert, a
+    NUL-bearing name or payload is stored whole.
+    """
+    names = list(rows)
+    size = _IN_CHUNK // 2
+    statements = []
+    for start in range(0, len(names), size):
+        chunk = names[start : start + size]
+        params: list[str] = []
+        for name in chunk:
+            params += (name, json.dumps(rows[name]))
+        statements.append((
+            f"INSERT OR REPLACE INTO {table} (name, payload) VALUES "
+            + ",".join(["(?, ?)"] * len(chunk)),
+            tuple(params),
+        ))
+    return statements
+
+
 def _ensure_sqlite_schema(connection: sqlite3.Connection) -> None:
     """Create/migrate the on-disk layout; idempotent on every open.
 
@@ -778,18 +804,12 @@ class PooledSqliteBackend:
     def put_fingerprints(self, payloads: dict[str, dict]) -> None:
         """Bulk write as ONE transaction (a cold index build is N schemata).
 
-        One INSERT per row, as in :meth:`put_schemas`: SQLite's JSON
-        functions cut a key at an escaped NUL, so a set-based write over
-        ``json_each`` would store the payload of ``"X\\x00y"`` on row ``"X"``.
+        Multi-row INSERTs of bound values (:func:`_upserts`), not
+        ``json_each``: SQLite's JSON functions cut a key at an escaped
+        NUL, so a set-based write over ``json_each`` would store the
+        payload of ``"X\\x00y"`` on row ``"X"``.
         """
-        self._write([
-            (
-                "INSERT OR REPLACE INTO corpus_fingerprints (name, payload)"
-                " VALUES (?, ?)",
-                (name, json.dumps(payload)),
-            )
-            for name, payload in payloads.items()
-        ])
+        self._write(_upserts("corpus_fingerprints", payloads))
 
     def get_fingerprint(self, name: str) -> dict | None:
         return self.get_fingerprints([name]).get(name)

@@ -82,6 +82,9 @@ class SchemaIndex:
     def __init__(self) -> None:
         self._schemata: dict[str, IndexedSchema] = {}
         self._postings: dict[str, set[str]] = {}
+        #: Terms whose posting set this index may mutate in place; the
+        #: others are shared with a clone and copied on first write.
+        self._owned: set[str] = set()
         #: Running sum of every entry's n_terms: average_length in O(1)
         #: (exact -- an integer sum, not a float accumulator).
         self._total_terms = 0
@@ -111,8 +114,13 @@ class SchemaIndex:
         )
         self._schemata[name] = entry
         self._total_terms += entry.n_terms
+        postings, owned = self._postings, self._owned
         for term in terms:
-            self._postings.setdefault(term, set()).add(name)
+            posting = postings.get(term)
+            if posting is None or term not in owned:
+                posting = postings[term] = set() if posting is None else set(posting)
+                owned.add(term)
+            posting.add(name)
         return entry
 
     def remove(self, name: str) -> None:
@@ -120,12 +128,18 @@ class SchemaIndex:
         if entry is None:
             return
         self._total_terms -= entry.n_terms
+        postings, owned = self._postings, self._owned
         for term in entry.terms:
-            posting = self._postings.get(term)
-            if posting is not None:
-                posting.discard(name)
-                if not posting:
-                    del self._postings[term]
+            posting = postings.get(term)
+            if posting is None:
+                continue
+            if term not in owned:
+                posting = postings[term] = set(posting)
+                owned.add(term)
+            posting.discard(name)
+            if not posting:
+                del postings[term]
+                owned.discard(term)
 
     def entry(self, name: str) -> IndexedSchema:
         try:
@@ -175,15 +189,18 @@ class SchemaIndex:
         """A structurally independent copy sharing the (immutable) entries.
 
         Entries are never mutated in place (re-adding a name builds a new
-        :class:`IndexedSchema`), so the copy shares them; the posting sets
-        are copied so adds/removes on either index never leak into the
-        other.  This is the rebuild-aside half of the corpus index's
-        atomic-publish refresh: clone, mutate the clone, swap.
+        :class:`IndexedSchema`), so the copy shares them.  The posting sets
+        are shared too, copy-on-write: after the clone neither index owns
+        any of them, and each copies a set before its first add/remove,
+        so changes on either index never leak into the other.  A refresh
+        that rebuilds a few entries then copies only their terms' sets,
+        not the whole vocabulary's.  This is the rebuild-aside half of the
+        corpus index's atomic-publish refresh: clone, mutate the clone,
+        swap.
         """
         copied = SchemaIndex()
         copied._schemata = dict(self._schemata)
-        copied._postings = {
-            term: set(names) for term, names in self._postings.items()
-        }
+        copied._postings = dict(self._postings)
         copied._total_terms = self._total_terms
+        self._owned = set()
         return copied

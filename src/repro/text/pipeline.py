@@ -26,7 +26,7 @@ from typing import Iterable
 from repro.text.abbrev import AbbreviationTable
 from repro.text.stem import stem
 from repro.text.stopwords import is_stopword
-from repro.text.tokenize import tokenize
+from repro.text.tokenize import separator_chunks, tokenize
 
 __all__ = ["TermBag", "LinguisticPipeline"]
 
@@ -105,6 +105,12 @@ class LinguisticPipeline:
         self._schema_stopwords = schema_stopwords
         self._drop_digits = drop_digits
         self._min_token_length = min_token_length
+        # Memos per instance, keyed by the string alone: a one-string key is
+        # the string itself, where a method cache's (self, text) key is a
+        # tuple the garbage collector keeps scanning for as long as the
+        # entry lives.
+        self._terms = lru_cache(maxsize=1 << 15)(self._text_terms)
+        self._chunk_terms = lru_cache(maxsize=1 << 17)(self._chunk_terms_uncached)
 
     @classmethod
     @cache
@@ -125,10 +131,22 @@ class LinguisticPipeline:
         """
         return list(self._terms(text))
 
-    @lru_cache(maxsize=1 << 15)
-    def _terms(self, text: str) -> tuple[str, ...]:
+    def shared_terms(self, text: str) -> tuple[str, ...]:
+        """:meth:`terms` as the memoised tuple itself (no copy per call)."""
+        return self._terms(text)
+
+    def _text_terms(self, text: str) -> tuple[str, ...]:
+        # Every stage works within one separator-free chunk, so a new text
+        # is assembled from memoised chunks: words repeat across names and
+        # documentation far more often than whole strings do.
+        terms: list[str] = []
+        for chunk in separator_chunks(text):
+            terms += self._chunk_terms(chunk)
+        return tuple(terms)
+
+    def _chunk_terms_uncached(self, chunk: str) -> tuple[str, ...]:
         tokens = tokenize(
-            text, drop_digits=self._drop_digits, min_length=self._min_token_length
+            chunk, drop_digits=self._drop_digits, min_length=self._min_token_length
         )
         tokens = self._abbreviations.expand_all(tokens)
         tokens = [

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator
 
-__all__ = ["tokenize", "split_identifier", "ngrams", "char_ngrams"]
+__all__ = ["tokenize", "split_identifier", "separator_chunks", "ngrams", "char_ngrams"]
 
 # One regex pass extracts the primitive runs: acronym runs (optionally
 # terminating a capitalised word), capitalised words, lowercase runs, digits.
@@ -50,11 +50,18 @@ def split_identifier(name: str) -> list[str]:
     ['xml', 'schema', 'v', '2']
     """
     tokens: list[str] = []
-    for chunk in _SEPARATORS_RE.split(name):
-        if not chunk:
-            continue
+    for chunk in separator_chunks(name):
         tokens.extend(match.lower() for match in _CAMEL_RE.findall(chunk))
     return tokens
+
+
+def separator_chunks(text: str) -> list[str]:
+    """The non-empty runs of ``text`` between separators.
+
+    Tokenization never looks across a separator, so ``tokenize(text)`` is
+    the concatenation of ``tokenize(chunk)`` over these chunks.
+    """
+    return [chunk for chunk in _SEPARATORS_RE.split(text) if chunk]
 
 
 def tokenize(text: str, drop_digits: bool = False, min_length: int = 1) -> list[str]:

@@ -341,6 +341,19 @@ class TestFingerprints:
         assert backend.get_fingerprint("orders") is None
         assert backend.fingerprint_names() == []
 
+    def test_bulk_put_beyond_one_statement(self, backend):
+        # 600 rows span several multi-row INSERTs on the pooled backend;
+        # one of them replaces a row written before.
+        payloads = {
+            f"s{i:04d}": {"hash": f"h{i}", "terms": {"t": i}} for i in range(600)
+        }
+        backend.put_fingerprint("s0300", {"hash": "old", "terms": {}})
+        backend.put_fingerprints(payloads)
+        assert backend.get_fingerprints(list(payloads)) == payloads
+        assert backend.fingerprint_hashes() == {
+            name: payload["hash"] for name, payload in payloads.items()
+        }
+
 
 class TestClocks:
     """Which mutator bumps which clock -- identically on every backend."""

@@ -258,6 +258,25 @@ class TestRepositoryEdgeCases:
         assert len(repository.matches()) == 10
         repository.close()
 
+    def test_put_fingerprints_steps_a_few_statements(self, tmp_path):
+        # sqlite3 releases the interpreter lock around every statement, so
+        # a bulk fingerprint write racing queries must not step one INSERT
+        # per row: 600 rows go out as a handful of multi-row INSERTs.
+        repository = MetadataRepository(path=str(tmp_path / "fp.db"), pool_size=1)
+        backend = repository.backend
+        connection = backend._acquire()
+        backend._release(connection)
+        statements = []
+        connection.set_trace_callback(statements.append)
+        repository.put_fingerprints(
+            {f"s{i:04d}": {"hash": f"h{i}", "terms": {}} for i in range(600)}
+        )
+        connection.set_trace_callback(None)
+        inserts = [s for s in statements if s.lstrip().upper().startswith("INSERT")]
+        assert 1 <= len(inserts) <= 3
+        assert len(repository.fingerprint_names()) == 600
+        repository.close()
+
     def test_store_matches_requires_registered_schemas(self, repository):
         with pytest.raises(KeyError):
             repository.store_matches(

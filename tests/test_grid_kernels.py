@@ -147,6 +147,27 @@ def test_kernels_share_one_feature_space(profiles, monkeypatch):
     assert built == []
 
 
+def test_feature_rows_are_each_documents_interned_tokens():
+    # Ids follow first appearance across the documents, rows are sorted
+    # and duplicate-free, bag data counts repeats; an empty row and an
+    # empty document list both come out well-formed.
+    from repro.matchers.profile import TokenInterner, _bag_feature, _set_feature
+
+    documents = [["b", "a", "b"], [], ["c", "a", "c", "c"], ["a"]]
+    interner = TokenInterner()
+    sets = _set_feature(documents, interner)
+    assert [interner.intern(token) for token in "bac"] == [0, 1, 2]
+    assert sets.indptr.tolist() == [0, 2, 2, 4, 5]
+    assert sets.indices.tolist() == [0, 1, 1, 2, 1]
+    assert sets.data.tolist() == [1.0] * 5
+    bags = _bag_feature(documents + [["d", "b"]], interner)
+    assert bags.indptr.tolist() == [0, 2, 2, 4, 5, 7]
+    assert bags.indices.tolist() == [0, 1, 1, 2, 1, 0, 3]
+    assert bags.data.tolist() == [2.0, 1.0, 1.0, 3.0, 1.0, 1.0, 1.0]
+    empty = _set_feature([], TokenInterner())
+    assert empty.indptr.tolist() == [0] and empty.indices.size == 0
+
+
 @pytest.mark.parametrize("voter", fast_path_voters(), ids=lambda v: v.name)
 def test_warm_builds_every_feature_the_kernels_read(voter, profiles):
     source, target = profiles

@@ -104,7 +104,7 @@ class TestProfile:
     def test_doc_terms_empty_without_documentation(self, sample_xml):
         profile = build_profile(sample_xml)
         position = profile.index_of["individual.dateofbirth"]
-        assert profile.doc_terms[position] == []
+        assert profile.doc_terms[position] == ()
 
 
 class TestVoterContracts:

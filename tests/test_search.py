@@ -76,6 +76,35 @@ class TestIndex:
         candidates = index.candidates(KeywordQuery("blood").terms())
         assert candidates == {"medical", "hr"}
 
+    def test_clone_and_source_never_share_a_write(self, registry):
+        # Posting sets are shared copy-on-write: writes on either side,
+        # including ones after a second clone, must not leak across.
+        _, schemata = registry
+
+        def postings(index):
+            return {term: set(index.posting(term)) for term in index._postings}
+
+        def built(*names):
+            index = SchemaIndex()
+            for name in names:
+                index.add(schemata[name])
+            return index
+
+        source = built("medical", "hr")
+        clone = source.clone()
+        clone.remove("hr")
+        clone.add(schemata["motorpool"])
+        assert postings(source) == postings(built("medical", "hr"))
+        assert postings(clone) == postings(built("medical", "motorpool"))
+
+        second = clone.clone()
+        clone.remove("medical")
+        source.remove("medical")
+        assert postings(second) == postings(built("medical", "motorpool"))
+        assert postings(clone) == postings(built("motorpool"))
+        assert postings(source) == postings(built("hr"))
+        assert second.candidates(KeywordQuery("blood").terms()) == {"medical"}
+
 
 class TestKeywordSearch:
     def test_ranks_topical_schema_first(self, registry):

@@ -4,9 +4,11 @@ import pytest
 
 from repro.text.abbrev import AbbreviationTable
 from repro.text.pipeline import LinguisticPipeline, TermBag
+from repro.text.stem import stem
 from repro.text.stopwords import ENGLISH_STOPWORDS, SCHEMA_STOPWORDS, is_stopword
 from repro.text.tfidf import TfidfModel, cosine, tfidf_similarity_matrix
 from repro.text.thesaurus import SynonymLexicon
+from repro.text.tokenize import tokenize
 
 
 class TestStopwords:
@@ -89,6 +91,33 @@ class TestPipeline:
         pipeline = LinguisticPipeline.for_documentation()
         bag = pipeline.bag_many(["date begin", "date end"])
         assert dict(bag.counts)["date"] == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "DATETIME_FIRST_INFO",
+            "personBirthDate qty_onHand",
+            "XMLSchemaV2/Vehicle-Reg-No17",
+            "  DOB -- the date of   birth, (if known) ",
+            "",
+            "___",
+        ],
+    )
+    def test_terms_equal_the_unchunked_stages(self, text):
+        # terms() memoises per separator-free chunk; the result must be
+        # the four stages run over the whole text at once.
+        for pipeline in (
+            LinguisticPipeline.for_names(),
+            LinguisticPipeline.for_documentation(),
+        ):
+            tokens = tokenize(text, drop_digits=True)
+            tokens = AbbreviationTable.default().expand_all(tokens)
+            tokens = [
+                token
+                for token in tokens
+                if not is_stopword(token, schema_mode=pipeline._schema_stopwords)
+            ]
+            assert pipeline.terms(text) == [stem(token) for token in tokens]
 
 
 class TestTermBag:
