@@ -1,18 +1,17 @@
 """Corpus-scale batch matching: one schema vs a corpus, or all-pairs N-way.
 
 The interactive engine (:class:`repro.match.engine.HarmonyMatchEngine`)
-re-derives voter vocabularies on every MATCH call; fine for one pair, waste
-for a repository.  :class:`BatchMatchRunner` is the corpus-scale fast path
-(see ``docs/architecture.md``):
+scores every pair of the grid; fine for one pair, waste for a repository.
+:class:`BatchMatchRunner` extends it into the corpus-scale fast path (see
+``docs/architecture.md``):
 
 1. profiles and :class:`~repro.matchers.profile.FeatureSpace` matrices are
    built **once per schema** and reused across every pair,
 2. :func:`~repro.batch.blocking.candidate_pairs` prunes each cross-product
    to the pairs with shared evidence,
-3. voters score **only the candidates** through their bulk
-   :meth:`~repro.matchers.base.MatchVoter.score_pairs` API (exact same
-   confidences as the per-grid path; non-vectorised voters fall back
-   transparently),
+3. voters score **only the candidates** through their pair kernel
+   :meth:`~repro.matchers.base.MatchVoter.score_pairs` (exact same
+   confidences as the per-grid path, for every voter),
 4. with a cascade attached, candidate scores inside the plan's ambiguity
    band escalate to the Stage-2 oracle (budgeted, most-ambiguous-first;
    see :mod:`repro.cascade` and ``docs/cascade.md``) -- the same staged
@@ -41,14 +40,14 @@ from repro.batch.blocking import BlockingPolicy, CandidateSet, candidate_pairs
 from repro.cascade.executor import CascadeExecutor
 from repro.cascade.plan import CascadePlan, CascadeReport
 from repro.match.correspondence import Correspondence
-from repro.match.engine import MatchResult
+from repro.match.engine import HarmonyMatchEngine, MatchResult
 from repro.match.matrix import MatchMatrix
 from repro.match.selection import SelectionStrategy, ThresholdSelection
-from repro.matchers import DEFAULT_VOTER_WEIGHTS, MatchVoter, default_voters
-from repro.matchers.profile import FeatureSpace, SchemaProfile, build_profile
+from repro.matchers import MatchVoter
+from repro.matchers.profile import FeatureSpace, SchemaProfile
 from repro.schema.schema import Schema
 from repro.telemetry import current_trace, span
-from repro.voting.merger import ConvictionLinearMerger, VoteMerger
+from repro.voting.merger import VoteMerger
 
 __all__ = ["BatchMatchResult", "BatchPairOutcome", "BatchMatchRunner"]
 
@@ -131,23 +130,27 @@ def _worker_match_chunk(payload: dict) -> list[BatchPairOutcome]:
     ]
 
 
-class BatchMatchRunner:
+class BatchMatchRunner(HarmonyMatchEngine):
     """The corpus-scale batch fast path (see module docstring).
+
+    An exact engine with blocking: the ensemble, the shared
+    :class:`FeatureSpace` (profile and feature caches), the cascade, and
+    :meth:`profile`/:meth:`match`/:meth:`explain` are the engine's; the
+    runner adds candidate blocking and the corpus fan-out.
 
     Parameters
     ----------
-    voters / merger:
-        As for :class:`~repro.match.engine.HarmonyMatchEngine`; defaults to
-        the calibrated default ensemble.
+    voters / merger / space / cascade:
+        As for :class:`~repro.match.engine.HarmonyMatchEngine`.  The
+        cascade applies to every pair's merged candidate scores (see the
+        module docstring); process-pool fan-out ships its *plan* and
+        recompiles per worker.
     selection:
         Default selection strategy for corpus outcomes
         (:class:`ThresholdSelection` (0.15) unless given).
     blocking:
         The :class:`~repro.batch.blocking.BlockingPolicy`; the default
         path+documentation policy measures recall 1.0 on the case study.
-    space:
-        A shared :class:`FeatureSpace`; pass one to reuse caches across
-        runners, otherwise the runner owns a private space.
     fill_value:
         Score assigned to non-candidate pairs (default 0.0, complete
         uncertainty; must lie in [-1, 1]).
@@ -163,16 +166,6 @@ class BatchMatchRunner:
     keep_matrices:
         Whether corpus outcomes retain their dense matrices (forced off in
         process mode, where matrices would dominate pickling cost).
-    profile_cache:
-        An externally owned ``{id(schema): SchemaProfile}`` dict, letting a
-        service share one profile cache across engines and batch runners;
-        the runner owns a private dict when omitted.
-    cascade:
-        An optional compiled :class:`~repro.cascade.CascadeExecutor`
-        applied to every pair's merged candidate scores (see the module
-        docstring).  ``None`` keeps the fast path single-stage and
-        bit-identical to the pre-cascade runner.  Process-pool fan-out
-        ships the *plan* and recompiles per worker.
     """
 
     def __init__(
@@ -186,29 +179,13 @@ class BatchMatchRunner:
         executor: str = "serial",
         max_workers: int | None = None,
         keep_matrices: bool = True,
-        profile_cache: dict[int, SchemaProfile] | None = None,
         cascade: CascadeExecutor | None = None,
     ):
-        self._default_ensemble = voters is None
-        if voters is None:
-            self.voters = default_voters()
-            default_weights: tuple[float, ...] | None = DEFAULT_VOTER_WEIGHTS
-        else:
-            self.voters = voters
-            default_weights = None
-        if not self.voters:
-            raise ValueError("runner needs at least one voter")
-        self._default_merger = merger is None
-        self.merger = (
-            merger
-            if merger is not None
-            else ConvictionLinearMerger(voter_weights=default_weights)
-        )
+        super().__init__(voters, merger, cascade=cascade, space=space)
         self.selection = (
             selection if selection is not None else ThresholdSelection(0.15)
         )
         self.blocking = blocking if blocking is not None else BlockingPolicy()
-        self.space = space if space is not None else FeatureSpace()
         if not -1.0 <= fill_value <= 1.0:
             raise ValueError(f"fill_value must be in [-1, 1], got {fill_value}")
         self.fill_value = fill_value
@@ -219,21 +196,8 @@ class BatchMatchRunner:
         self.executor = executor
         self.max_workers = max_workers
         self.keep_matrices = keep_matrices
-        self._profiles: dict[int, SchemaProfile] = (
-            profile_cache if profile_cache is not None else {}
-        )
-        self.cascade = cascade
 
-    # -- caches ---------------------------------------------------------
-    def profile(self, schema: Schema) -> SchemaProfile:
-        """Profile a schema once; later calls reuse the cache."""
-        key = id(schema)
-        cached = self._profiles.get(key)
-        if cached is None or cached.schema is not schema or len(cached) != len(schema):
-            cached = build_profile(schema)
-            self._profiles[key] = cached
-        return cached
-
+    # -- warm-up --------------------------------------------------------
     def warm(self, schemata: Iterable[Schema]) -> None:
         """Pre-build profiles and every feature the runner will read: the
         blocking keys' features and what each voter's :meth:`MatchVoter.warm`

@@ -6,12 +6,12 @@ section 3.2 describes Harmony's realisation of it: linguistic preprocessing
 several match voters each emitting evidence-aware confidences, and a vote
 merger producing the final match score per pair.
 
-The engine is stateless apart from a profile cache and a feature cache (a
-:class:`~repro.matchers.profile.FeatureSpace`), so one engine instance
-serves repeated (incremental) match operations over the same schemata --
-exactly the concept-at-a-time workflow of section 3.3 -- without
-re-tokenising: each increment is scored from the cached features, as a
-grid of its own.
+The engine is stateless apart from its
+:class:`~repro.matchers.profile.FeatureSpace` (the profile and feature
+caches), so one engine instance serves repeated (incremental) match
+operations over the same schemata -- exactly the concept-at-a-time
+workflow of section 3.3 -- without re-tokenising: each increment is
+scored from the cached features, as a grid of its own.
 
 Execution is *staged*: Stage 1 above is the cheap ensemble, scoring the
 full (restricted) pair grid exactly; with a
@@ -116,7 +116,7 @@ class MatchResult:
 
 
 class HarmonyMatchEngine:
-    """Composable match engine (voters + merger), with profile and feature caches.
+    """Composable match engine (voters + merger) over a shared feature space.
 
     Parameters
     ----------
@@ -126,10 +126,6 @@ class HarmonyMatchEngine:
         Vote merger; defaults to the conviction-linear merger with the
         calibrated :data:`~repro.matchers.DEFAULT_VOTER_WEIGHTS` (only when
         the default ensemble is used; custom voter lists get flat weights).
-    profile_cache:
-        An externally owned ``{id(schema): SchemaProfile}`` dict, letting a
-        service share one profile cache across engines and batch runners;
-        the engine owns a private dict when omitted.
     cascade:
         An optional compiled :class:`~repro.cascade.CascadeExecutor`; when
         given, Stage-1 merged scores inside its ambiguity band escalate to
@@ -137,45 +133,40 @@ class HarmonyMatchEngine:
         keeps the pipeline single-stage and bit-identical to the
         pre-cascade engine.
     space:
-        A shared :class:`~repro.matchers.profile.FeatureSpace` the voters
-        read their cached features from (a service passes the one its
-        batch runners share); the engine owns a private space when
-        omitted.
+        A shared :class:`~repro.matchers.profile.FeatureSpace`: the profile
+        cache and the cached features the voters read (a service passes
+        the one its engines and batch runners share); the engine owns a
+        private space when omitted.
     """
 
     def __init__(
         self,
         voters: list[MatchVoter] | None = None,
         merger: VoteMerger | None = None,
-        profile_cache: dict[int, SchemaProfile] | None = None,
         cascade: CascadeExecutor | None = None,
         space: FeatureSpace | None = None,
     ):
-        if voters is None:
-            self.voters = default_voters()
-            default_weights: tuple[float, ...] | None = DEFAULT_VOTER_WEIGHTS
-        else:
-            self.voters = voters
-            default_weights = None
+        self._default_ensemble = voters is None
+        self.voters = default_voters() if voters is None else voters
         if not self.voters:
             raise ValueError("engine needs at least one voter")
-        if merger is not None:
-            self.merger = merger
-        else:
-            self.merger = ConvictionLinearMerger(voter_weights=default_weights)
-        self._profiles: dict[int, SchemaProfile] = (
-            profile_cache if profile_cache is not None else {}
-        )
+        self._default_merger = merger is None
+        if merger is None:
+            merger = ConvictionLinearMerger(
+                voter_weights=DEFAULT_VOTER_WEIGHTS if voters is None else None
+            )
+        self.merger = merger
         self.cascade = cascade
         self.space = space if space is not None else FeatureSpace()
 
     def profile(self, schema: Schema) -> SchemaProfile:
-        """Profile a schema once; later calls reuse the cache."""
+        """Profile a schema once; later calls reuse the space's cache."""
+        profiles = self.space.profiles
         key = id(schema)
-        cached = self._profiles.get(key)
+        cached = profiles.get(key)
         if cached is None or cached.schema is not schema or len(cached) != len(schema):
             cached = build_profile(schema)
-            self._profiles[key] = cached
+            profiles[key] = cached
         return cached
 
     def match(
@@ -271,11 +262,10 @@ class HarmonyMatchEngine:
 
         Returns ``{voter: {"confidence", "similarity", "evidence"}}`` plus a
         ``"merged"`` pseudo-voter with the final (Stage-1) score -- the
-        explanation a GUI tooltip would show.  Voters with a cached-feature
-        fast path score the pair against the full schemata (structure keeps
+        explanation a GUI tooltip would show.  Every voter scores the pair
+        through its pair kernel against the full schemata (structure keeps
         its parent and child context, documentation its full-schema IDF),
-        so ``merged`` equals the pair's match-matrix entry; per-pair voters
-        score the pair alone.
+        so ``merged`` equals the pair's match-matrix entry.
         """
         source_profile = self.profile(source)
         target_profile = self.profile(target)
@@ -284,14 +274,9 @@ class HarmonyMatchEngine:
         breakdown: dict[str, dict[str, float]] = {}
         confidences = []
         for voter in self.voters:
-            if voter.supports_block:
-                similarity, evidence = voter.fast_ratios(
-                    source_profile, target_profile, self.space, rows, cols
-                )
-            else:
-                similarity, evidence = voter.ratios(
-                    source_profile, target_profile, rows, cols
-                )
+            similarity, evidence = voter.fast_ratios(
+                source_profile, target_profile, self.space, rows, cols
+            )
             confidence = voter.confidences(similarity, evidence)
             confidences.append(np.reshape(confidence, (1, 1)))
             breakdown[voter.name] = {

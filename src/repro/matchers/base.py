@@ -23,24 +23,24 @@ configured ambiguity band then escalate to a Stage-2
 most-ambiguous-first; see :mod:`repro.cascade` and ``docs/cascade.md``.
 With no cascade configured, Stage 1 is the entire pipeline.
 
-Cached-feature kernels
-----------------------
-Every vectorised voter reads one shared
+Kernels
+-------
+Every voter answers through two kernels over one shared
 :class:`~repro.matchers.profile.FeatureSpace` (features built once per
-schema, reused by every match) through two kernels:
+schema, reused by every match):
 
 * :meth:`MatchVoter.grid_ratios` -- the 2-D source x target grid, full or
   restricted to given positions (rows and columns are sliced *before* the
-  sparse products).  :meth:`MatchVoter.vote` and
-  :meth:`MatchVoter.score_block` run it.
+  sparse products).  :meth:`MatchVoter.vote` runs it.
 * :meth:`MatchVoter.fast_ratios` -- 1-D, at an explicit candidate pair
   list as produced by :mod:`repro.batch.blocking` (the pairs Stage 1
   scores; everything blocked out takes the fill value and never
   escalates).  :meth:`MatchVoter.score_pairs` runs it.
 
-Per-pair voters (edit distance, instances) have no cached features; they
-implement :meth:`MatchVoter.ratios`, and both APIs fall back to it, so they
-are total over any voter ensemble.
+Per-pair voters (edit distance, instances) read no cached features: their
+:meth:`~MatchVoter.grid_ratios` ignores the space, and they inherit the
+default :meth:`~MatchVoter.fast_ratios`, which gathers the pairs from the
+grid of their unique rows and columns.
 """
 
 from __future__ import annotations
@@ -127,8 +127,8 @@ def gather_outer(
 class MatchVoter(ABC):
     """Base class for match voters.
 
-    Subclasses implement the cached-feature kernels :meth:`grid_ratios`
-    and :meth:`fast_ratios` (per-pair voters: :meth:`ratios`) returning
+    Subclasses implement the kernels :meth:`grid_ratios` and (unless the
+    default gather is exact for them) :meth:`fast_ratios`, returning
     (similarity, evidence) arrays; the base class derives confidences with
     the shared tau so all voters speak the same evidence dialect.
 
@@ -189,20 +189,6 @@ class MatchVoter(ABC):
         above = 0.5 + 0.5 * (clipped - self.neutral) / (1.0 - self.neutral)
         return np.where(clipped < self.neutral, below, above)
 
-    def ratios(
-        self,
-        source: SchemaProfile,
-        target: SchemaProfile,
-        source_positions: np.ndarray | None = None,
-        target_positions: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(similarity, evidence) for the restricted grid, from the profiles.
-
-        Only per-pair voters (no cached features to read) implement this;
-        cached-feature voters implement :meth:`grid_ratios` instead.
-        """
-        raise NotImplementedError(f"{type(self).__name__} has no per-pair kernel")
-
     def grid_ratios(
         self,
         source: SchemaProfile,
@@ -211,21 +197,22 @@ class MatchVoter(ABC):
         source_positions: np.ndarray | None = None,
         target_positions: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(similarity, evidence) over the grid from cached feature matrices.
+        """(similarity, evidence) over the grid, from cached feature matrices
+        (per-pair voters: from the profiles, ignoring ``space``).
 
         The grid is full, or restricted to the given source/target
         positions; a restricted grid is scored as a grid of its own
         (corpus-fit statistics and structural context come from inside
         it), not as a slice of the full grid.  Outputs are 2-D.
         """
-        raise NotImplementedError(f"{type(self).__name__} has no cached-feature kernel")
+        raise NotImplementedError(f"{type(self).__name__} has no grid kernel")
 
     def confidences(self, similarity: np.ndarray, evidence: np.ndarray) -> np.ndarray:
         """Map (similarity, evidence) arrays of any shape to confidences.
 
-        Shared by the grid kernels (:meth:`vote`, :meth:`score_block`) and
-        the pair kernel (:meth:`score_pairs`), so both speak exactly the
-        same calibration dialect.
+        Shared by the grid kernel (:meth:`vote`) and the pair kernel
+        (:meth:`score_pairs`), so both speak exactly the same calibration
+        dialect.
         """
         calibrated = self.calibrate(similarity)
         if self.evidence_blind:
@@ -248,21 +235,16 @@ class MatchVoter(ABC):
     ) -> VoterOpinion:
         """Produce the full evidence-aware opinion for the pair grid.
 
-        Cached-feature voters read ``space`` (a private one when omitted);
-        per-pair voters score from the profiles alone.
+        Voters read cached features from ``space`` (a private one when
+        omitted).
         """
-        if self.supports_block:
-            similarity, evidence = self.grid_ratios(
-                source,
-                target,
-                space if space is not None else FeatureSpace(),
-                source_positions,
-                target_positions,
-            )
-        else:
-            similarity, evidence = self.ratios(
-                source, target, source_positions, target_positions
-            )
+        similarity, evidence = self.grid_ratios(
+            source,
+            target,
+            space if space is not None else FeatureSpace(),
+            source_positions,
+            target_positions,
+        )
         return VoterOpinion(
             voter=self.name,
             confidence=self.confidences(similarity, evidence),
@@ -283,8 +265,19 @@ class MatchVoter(ABC):
 
         The pairs are scored against the full schemata: structure keeps
         its parent and child context, documentation its full-schema IDF.
+
+        The default scores the :meth:`grid_ratios` grid of the pairs'
+        unique rows and columns, then gathers the pairs from it.  That is
+        exact only for a voter whose pair score does not depend on the
+        rest of the grid (edit distance, instances); voters with grid-fit
+        statistics or structural context override it.
         """
-        raise NotImplementedError(f"{type(self).__name__} has no bulk fast path")
+        unique_rows, row_of = np.unique(rows, return_inverse=True)
+        unique_cols, col_of = np.unique(cols, return_inverse=True)
+        similarity, evidence = self.grid_ratios(
+            source, target, space, unique_rows, unique_cols
+        )
+        return similarity[row_of, col_of], evidence[row_of, col_of]
 
     def warm(self, profile: SchemaProfile, space: FeatureSpace) -> None:
         """Build the cached features this voter's kernels read for ``profile``.
@@ -292,20 +285,6 @@ class MatchVoter(ABC):
         :meth:`repro.batch.BatchMatchRunner.warm` calls it so matching
         only reads the shared space; per-pair voters read none.
         """
-
-    @property
-    def supports_block(self) -> bool:
-        """Whether this voter implements the cached-feature kernels."""
-        return type(self).grid_ratios is not MatchVoter.grid_ratios
-
-    def score_block(
-        self,
-        source: SchemaProfile,
-        target: SchemaProfile,
-        space: FeatureSpace | None = None,
-    ) -> np.ndarray:
-        """Bulk confidence matrix over the full source x target grid."""
-        return self.vote(source, target, space=space).confidence
 
     def score_pairs(
         self,
@@ -324,8 +303,6 @@ class MatchVoter(ABC):
         """
         rows = np.asarray(rows, dtype=int)
         cols = np.asarray(cols, dtype=int)
-        if not self.supports_block:
-            return self.vote(source, target).confidence[rows, cols]
         space = space if space is not None else FeatureSpace()
         similarity, evidence = self.fast_ratios(source, target, space, rows, cols)
         return self.confidences(similarity, evidence)

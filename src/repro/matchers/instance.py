@@ -79,7 +79,9 @@ class InstanceVoter(MatchVoter):
             for position in chosen
         ]
 
-    def ratios(self, source, target, source_positions=None, target_positions=None):
+    def grid_ratios(
+        self, source, target, space, source_positions=None, target_positions=None
+    ):
         source_values = self._documents(
             source, self.source_instances, source_positions
         )

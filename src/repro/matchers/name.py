@@ -102,7 +102,9 @@ class EditDistanceVoter(MatchVoter):
         super().__init__(tau=tau, neutral=neutral, negative_scale=negative_scale)
         self.max_pairs = max_pairs
 
-    def ratios(self, source, target, source_positions=None, target_positions=None):
+    def grid_ratios(
+        self, source, target, space, source_positions=None, target_positions=None
+    ):
         source_names = subset(source.raw_names, source_positions)
         target_names = subset(target.raw_names, target_positions)
         n_pairs = len(source_names) * len(target_names)

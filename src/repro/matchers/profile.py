@@ -19,8 +19,9 @@ interns every token into a shared vocabulary and caches **per-schema sparse
 feature matrices** (token-set incidences and TF-IDF count matrices).  With
 those in place, one schema-vs-schema voter run reduces to a handful of
 sparse products -- no per-match re-tokenization, vocabulary building, or
-synonym canonicalisation -- which is what the voters' bulk
-``score_block`` / ``score_pairs`` APIs are built on.
+synonym canonicalisation -- which is what the voters' grid and pair
+kernels (:meth:`~repro.matchers.base.MatchVoter.grid_ratios`,
+:meth:`~repro.matchers.base.MatchVoter.fast_ratios`) are built on.
 """
 
 from __future__ import annotations
@@ -348,8 +349,11 @@ class FeatureSpace:
     ``canonical``  binary incidence over thesaurus-canonicalised name terms
                    (cached per lexicon instance)
 
-    The cache holds strong references to profiles (id-keyed); call
-    :meth:`clear` between unrelated corpora to release memory.
+    The space also owns the profile cache, :attr:`profiles`, which every
+    engine and runner sharing the space reads and fills.  Both caches
+    hold strong references (id-keyed); call :meth:`release` for a schema
+    no caller will pass again, or :meth:`clear` between unrelated corpora,
+    to release memory.
 
     One space may be shared across threads (the serving tier shares one
     per process): every method takes :attr:`lock`, because interning is a
@@ -372,12 +376,16 @@ class FeatureSpace:
         self._pinned: dict[int, object] = {}
         #: Dense set products served by :meth:`stacked` while its block runs.
         self._products: dict[tuple[int, int, str], np.ndarray] = {}
+        #: ``{id(schema): SchemaProfile}``, filled by
+        #: :meth:`repro.match.engine.HarmonyMatchEngine.profile`.
+        self.profiles: dict[int, SchemaProfile] = {}
         #: Reentrant on purpose: pair-level methods re-enter :meth:`feature`.
         self.lock = threading.RLock()
 
     def clear(self) -> None:
-        """Drop all cached features and pinned profile references."""
+        """Drop all cached profiles, features and pinned profile references."""
         with self.lock:
+            self.profiles.clear()
             self._interners.clear()
             self._features.clear()
             self._vectors.clear()
@@ -396,6 +404,13 @@ class FeatureSpace:
                 for cache_key in [k for k in cache if k[0] == key]:
                     del cache[cache_key]
             self._pinned.pop(key, None)
+
+    def release(self, schema: Schema) -> None:
+        """Drop ``schema``'s cached profile and that profile's features."""
+        with self.lock:
+            profile = self.profiles.pop(id(schema), None)
+            if profile is not None:
+                self.evict(profile)
 
     # -- features -------------------------------------------------------
     def _interner(self, key: str) -> TokenInterner:

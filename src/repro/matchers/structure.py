@@ -17,7 +17,8 @@ sparse product per run.  A restricted grid takes children and parents from
 inside the grid only.  The grid and the candidate-pair kernel share one
 vectorised body, :meth:`StructuralVoter._ratios`: the grid broadcasts it
 over every (row, column), the pair kernel gathers it at the given pairs,
-and container pairs go through one padded mean-best-match.
+and container pairs go through one padded :func:`mean_best_match` (which
+concept matching reuses over summary concepts).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.matchers.profile import SchemaProfile
 from repro.matchers.thesaurus import ThesaurusVoter
 from repro.text.thesaurus import SynonymLexicon
 
-__all__ = ["StructuralVoter"]
+__all__ = ["StructuralVoter", "mean_best_match"]
 
 
 class _Layout(NamedTuple):
@@ -64,12 +65,63 @@ def _layout(profile: SchemaProfile, positions: np.ndarray | None) -> _Layout:
     return _Layout(np.split(kept, np.cumsum(counts)[:-1]), parent, counts > 0)
 
 
-def _padded(children: Sequence[Sequence[int]], positions: np.ndarray) -> np.ndarray:
-    """The positions' children lists as rows of a rectangle, padded with -1."""
-    padded = np.full((len(positions), max(len(children[p]) for p in positions)), -1)
+def _padded(groups: Sequence[Sequence[int]], positions: np.ndarray) -> np.ndarray:
+    """The positions' index lists as rows of a rectangle, padded with -1."""
+    padded = np.full((len(positions), max(len(groups[p]) for p in positions)), -1)
     for row, position in enumerate(positions):
-        padded[row, : len(children[position])] = children[position]
+        padded[row, : len(groups[position])] = groups[position]
     return padded
+
+
+def mean_best_match(
+    base: np.ndarray,
+    source_groups: Sequence[Sequence[int]],
+    target_groups: Sequence[Sequence[int]],
+    rows: np.ndarray,
+    cols: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrised mean-best-match of ``base`` over group pairs (1-D).
+
+    Pair ``k`` compares the non-empty groups ``source_groups[rows[k]]``
+    and ``target_groups[cols[k]]`` (lists of ``base`` rows and columns):
+    the mean over source members of their best target score and the mean
+    over target members of their best source score, averaged.  Evidence
+    is the smaller group size.  Groups are padded to a rectangle and
+    gathered in bulk (index -1 hits a -1.0 sentinel row/column appended
+    to ``base``, so padding never wins a max while ``base`` lies in
+    [-1, 1]); processing is chunked to bound the (pairs x max_group^2)
+    intermediate.
+    """
+    unique_rows, inverse_rows = np.unique(rows, return_inverse=True)
+    unique_cols, inverse_cols = np.unique(cols, return_inverse=True)
+    padded_s = _padded(source_groups, unique_rows)
+    padded_t = _padded(target_groups, unique_cols)
+
+    augmented = np.full((base.shape[0] + 1, base.shape[1] + 1), -1.0)
+    augmented[:-1, :-1] = base
+    similarity = np.empty(rows.size)
+    chunk = max(1, 1_000_000 // (padded_s.shape[1] * padded_t.shape[1]))
+    for start in range(0, rows.size, chunk):
+        stop = min(start + chunk, rows.size)
+        rows_k = padded_s[inverse_rows[start:stop]]
+        cols_k = padded_t[inverse_cols[start:stop]]
+        blocks = augmented[rows_k[:, :, None], cols_k[:, None, :]]
+        valid_s = rows_k >= 0
+        valid_t = cols_k >= 0
+        forward = (
+            np.where(valid_s, blocks.max(axis=2), 0.0).sum(axis=1)
+            / valid_s.sum(axis=1)
+        )
+        backward = (
+            np.where(valid_t, blocks.max(axis=1), 0.0).sum(axis=1)
+            / valid_t.sum(axis=1)
+        )
+        similarity[start:stop] = 0.5 * (forward + backward)
+    evidence = np.minimum(
+        (padded_s >= 0).sum(axis=1)[inverse_rows],
+        (padded_t >= 0).sum(axis=1)[inverse_cols],
+    )
+    return similarity, evidence
 
 
 class StructuralVoter(MatchVoter):
@@ -141,7 +193,7 @@ class StructuralVoter(MatchVoter):
         # Container vs container: symmetrised mean-best-match of children.
         both = container_row & container_col
         if both.any():
-            similarity[both], evidence[both] = self._container_pair_scores(
+            similarity[both], evidence[both] = mean_best_match(
                 base,
                 source.children,
                 target.children,
@@ -164,50 +216,4 @@ class StructuralVoter(MatchVoter):
         )
         np.copyto(similarity, base[parent_rows, parent_cols], where=leaves)
         evidence[leaves] = self.leaf_context_evidence
-        return similarity, evidence
-
-    @staticmethod
-    def _container_pair_scores(
-        base: np.ndarray,
-        source_children: Sequence[Sequence[int]],
-        target_children: Sequence[Sequence[int]],
-        pair_rows: np.ndarray,
-        pair_cols: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Symmetrised mean-best-match for an explicit container-pair list.
-
-        Children index lists are padded to a rectangle and gathered in bulk
-        (index -1 hits a -1.0 sentinel row/column appended to ``base``, so
-        padding never wins a max); processing is chunked to bound the
-        (pairs x max_children^2) intermediate.
-        """
-        unique_rows, inverse_rows = np.unique(pair_rows, return_inverse=True)
-        unique_cols, inverse_cols = np.unique(pair_cols, return_inverse=True)
-        padded_s = _padded(source_children, unique_rows)
-        padded_t = _padded(target_children, unique_cols)
-
-        augmented = np.full((base.shape[0] + 1, base.shape[1] + 1), -1.0)
-        augmented[:-1, :-1] = base
-        similarity = np.empty(pair_rows.size)
-        chunk = max(1, 1_000_000 // (padded_s.shape[1] * padded_t.shape[1]))
-        for start in range(0, pair_rows.size, chunk):
-            stop = min(start + chunk, pair_rows.size)
-            rows_k = padded_s[inverse_rows[start:stop]]
-            cols_k = padded_t[inverse_cols[start:stop]]
-            blocks = augmented[rows_k[:, :, None], cols_k[:, None, :]]
-            valid_s = rows_k >= 0
-            valid_t = cols_k >= 0
-            forward = (
-                np.where(valid_s, blocks.max(axis=2), 0.0).sum(axis=1)
-                / valid_s.sum(axis=1)
-            )
-            backward = (
-                np.where(valid_t, blocks.max(axis=1), 0.0).sum(axis=1)
-                / valid_t.sum(axis=1)
-            )
-            similarity[start:stop] = 0.5 * (forward + backward)
-        evidence = np.minimum(
-            (padded_s >= 0).sum(axis=1)[inverse_rows],
-            (padded_t >= 0).sum(axis=1)[inverse_cols],
-        )
         return similarity, evidence

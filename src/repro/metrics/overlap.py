@@ -111,12 +111,14 @@ def workflow_overlap(
     matched_pairs: set[tuple[str, str]] = set()
     matched_source: set[str] = set()
     matched_target: set[str] = set()
+    all_source = set(result.matrix.source_ids)
+    all_target = set(result.matrix.target_ids)
 
     for concept_match in concept_matches:
         source_ids = source_summary.elements_of(concept_match.source_concept_id)
         target_ids = target_summary.elements_of(concept_match.target_concept_id)
-        source_in_grid = [sid for sid in source_ids if sid in set(result.matrix.source_ids)]
-        target_in_grid = [tid for tid in target_ids if tid in set(result.matrix.target_ids)]
+        source_in_grid = [sid for sid in source_ids if sid in all_source]
+        target_in_grid = [tid for tid in target_ids if tid in all_target]
         if not source_in_grid or not target_in_grid:
             continue
         block = result.matrix.submatrix(source_in_grid, target_in_grid)
@@ -126,8 +128,6 @@ def workflow_overlap(
             matched_source.add(correspondence.source_id)
             matched_target.add(correspondence.target_id)
 
-    all_source = set(result.matrix.source_ids)
-    all_target = set(result.matrix.target_ids)
     return OverlapReport(
         source_total=len(all_source),
         target_total=len(all_target),

@@ -11,7 +11,7 @@ By default the C(N,2) matches go through a
 :class:`repro.service.MatchService` (auto-routed: small registries take the
 exact engine, large ones the blocked fast path with profile/feature reuse
 across pairs).  Pass a ``service`` to share caches with other operations,
-an ``engine`` to force a specific exact engine, or a legacy
+an ``engine`` to force a specific exact engine, or a
 :class:`repro.batch.BatchMatchRunner` to force the fast path.
 """
 

@@ -722,27 +722,30 @@ class PooledSqliteBackend:
     ) -> None:
         """Bulk upsert as ONE transaction: every payload, every provided
         fingerprint, every stale-fingerprint drop, and one generation bump
-        of ``len(payloads)`` commit together or not at all."""
+        of ``len(payloads)`` commit together or not at all.
+
+        Rows go out as multi-row INSERTs (:func:`_upserts`) and the drops
+        as one ``DELETE ... IN`` per 500 names, so a bulk ingest steps a
+        handful of statements, not two per schema.
+        """
         if not payloads:
             return
         fingerprints = fingerprints or {}
-        statements: list[tuple] = []
-        for name, payload in payloads.items():
-            statements.append((
-                "INSERT OR REPLACE INTO schemata (name, payload) VALUES (?, ?)",
-                (name, json.dumps(payload)),
-            ))
-            fingerprint = fingerprints.get(name)
-            if fingerprint is None:
-                statements.append((
-                    "DELETE FROM corpus_fingerprints WHERE name = ?", (name,)
-                ))
-            else:
-                statements.append((
-                    "INSERT OR REPLACE INTO corpus_fingerprints (name, payload)"
-                    " VALUES (?, ?)",
-                    (name, json.dumps(fingerprint)),
-                ))
+        kept = {
+            name: fingerprints[name]
+            for name in payloads
+            if fingerprints.get(name) is not None
+        }
+        statements = _upserts("schemata", payloads)
+        statements += _upserts("corpus_fingerprints", kept)
+        statements += [
+            (
+                "DELETE FROM corpus_fingerprints"
+                f" WHERE name IN ({','.join('?' * len(chunk))})",
+                tuple(chunk),
+            )
+            for chunk in _chunked([name for name in payloads if name not in kept])
+        ]
         statements.append((_BUMP_CLOCK, (len(payloads), "generation")))
         self._write(statements)
 

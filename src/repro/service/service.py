@@ -13,9 +13,10 @@ that seam.  It
   feature-cached batch fast path (:class:`~repro.batch.BatchMatchRunner`)
   based on workload shape -- pair count for a single pair, registry size
   for corpus and all-pairs sweeps,
-* shares **one** :class:`~repro.matchers.profile.FeatureSpace` and one
-  profile cache across every engine and runner it compiles, so repeated
-  calls over the same schemata never re-derive linguistic features,
+* shares **one** :class:`~repro.matchers.profile.FeatureSpace` (which
+  owns the profile cache) across every engine and runner it compiles, so
+  repeated calls over the same schemata never re-derive linguistic
+  features,
 * returns JSON-round-trippable
   :class:`~repro.service.response.MatchResponse` envelopes carrying
   provenance, timing and the routing decision, and
@@ -55,7 +56,7 @@ from repro.corpus.sharding import CorpusRefreshWorker
 from repro.match.correspondence import Correspondence
 from repro.match.engine import HarmonyMatchEngine, MatchResult
 from repro.match.selection import SelectionStrategy
-from repro.matchers.profile import FeatureSpace, SchemaProfile
+from repro.matchers.profile import FeatureSpace
 from repro.network.graph import MappingGraph
 from repro.repository.provenance import AssertionMethod, ProvenanceRecord, TrustPolicy
 from repro.repository.store import MetadataRepository
@@ -135,10 +136,9 @@ class MatchService:
         self.tracer = tracer if tracer is not None else Tracer()
         #: Hash-range partitions of the corpus index (1 = unsharded).
         self.corpus_shards = corpus_shards
-        #: One feature space and one profile cache, shared by every engine
-        #: and runner this service compiles.
+        #: One feature space (profile and feature caches), shared by every
+        #: engine and runner this service compiles.
         self.space = FeatureSpace()
-        self._profiles: dict[int, SchemaProfile] = {}
         self._engines: dict[MatchOptions, HarmonyMatchEngine] = {}
         self._runners: dict[tuple, BatchMatchRunner] = {}
         #: Compiled cascades (plan -> executor), all sharing the service's
@@ -153,8 +153,8 @@ class MatchService:
         #: invalidated by the repository generation (see _registered_schema).
         self._registered: dict[str, Schema] = {}
         self._registered_generation: int | None = None
-        #: Guards every shared cache above (profiles, compiled engines and
-        #: runners, the registered-schema map, and the lazy corpus-index /
+        #: Guards every shared cache above (compiled engines and runners,
+        #: the registered-schema map, and the lazy corpus-index /
         #: mapping-graph singletons).  Reentrant: locked sections resolve
         #: schemata, which locks again.
         self._lock = threading.RLock()
@@ -227,7 +227,6 @@ class MatchService:
                 engine = HarmonyMatchEngine(
                     voters=options.build_voters(),
                     merger=options.build_merger(),
-                    profile_cache=self._profiles,
                     cascade=self.cascade_executor(options.cascade),
                     space=self.space,
                 )
@@ -258,7 +257,6 @@ class MatchService:
                     executor=executor,
                     max_workers=max_workers,
                     keep_matrices=keep_matrices,
-                    profile_cache=self._profiles,
                     cascade=self.cascade_executor(options.cascade),
                 )
                 self._runners[key] = runner
@@ -311,11 +309,8 @@ class MatchService:
         registered schemata, and the inline schemata a served request
         decoded.  Live objects a caller keeps passing should stay cached.
         """
-        with self._lock:
-            for schema in schemata:
-                profile = self._profiles.pop(id(schema), None)
-                if profile is not None:
-                    self.space.evict(profile)
+        for schema in schemata:
+            self.space.release(schema)
 
     def _resolve_registry(
         self, schemata: Mapping[str, SchemaRef]
@@ -1046,10 +1041,9 @@ class MatchService:
         The caches hold strong references to every schema matched through
         this service; long-lived processes cycling through unrelated
         corpora should clear between them.  Compiled engines and runners
-        survive (they share the same now-empty dicts).
+        survive (they share the same now-empty space).
         """
         with self._lock:
-            self._profiles.clear()
             self.space.clear()
             self._registered.clear()
             self._registered_generation = None

@@ -7,9 +7,9 @@ matches were thus identified" (CIDR 2009, section 3.3).
 
 Given two summaries and an element-level match result, the aggregate score
 of concept pair (A, B) is the symmetrised mean-best-match of their member
-elements' scores -- the same aggregation the structural voter uses for
-containers, applied at the summary level.  Pairs clearing a threshold become
-:class:`ConceptMatch` records.
+elements' scores -- the structural voter's container aggregation,
+:func:`~repro.matchers.structure.mean_best_match`, applied at the summary
+level.  Pairs clearing a threshold become :class:`ConceptMatch` records.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.match.engine import MatchResult
+from repro.matchers.structure import mean_best_match
 from repro.summarize.concepts import Concept, Summary
 
 __all__ = ["ConceptMatch", "concept_match_matrix", "match_concepts"]
@@ -63,17 +64,17 @@ def concept_match_matrix(
     ]
 
     scores = np.zeros((len(source_concepts), len(target_concepts)))
-    raw = matrix.scores
-    for row, source_ids in enumerate(source_members):
-        if not source_ids:
-            continue
-        for col, target_ids in enumerate(target_members):
-            if not target_ids:
-                continue
-            block = raw[np.ix_(source_ids, target_ids)]
-            forward = block.max(axis=1).mean()
-            backward = block.max(axis=0).mean()
-            scores[row, col] = 0.5 * (forward + backward)
+    # Every pair of non-empty concepts in one call; its -1.0 padding
+    # sentinel never wins a max, since match scores lie in [-1, 1].
+    rows, cols = np.meshgrid(
+        [row for row, members in enumerate(source_members) if members],
+        [col for col, members in enumerate(target_members) if members],
+        indexing="ij",
+    )
+    if rows.size:
+        scores[rows, cols] = mean_best_match(
+            matrix.scores, source_members, target_members, rows.ravel(), cols.ravel()
+        )[0].reshape(rows.shape)
     return source_concepts, target_concepts, scores
 
 

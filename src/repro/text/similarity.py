@@ -6,10 +6,10 @@ and deterministic.
 
 These implementations favour clarity; the vectorised hot paths live
 elsewhere: :mod:`repro.matchers.setsim` computes whole similarity
-*matrices* via sparse products, and the voters' bulk
-``score_block``/``score_pairs`` APIs (see :mod:`repro.matchers.base` and
-:mod:`repro.batch`) score full grids or blocked candidate lists from
-cached :class:`~repro.matchers.profile.FeatureSpace` matrices.  Per-pair
+*matrices* via sparse products, and the voters' ``vote``/``score_pairs``
+kernels (see :mod:`repro.matchers.base` and :mod:`repro.batch`) score full
+grids or blocked candidate lists from cached
+:class:`~repro.matchers.profile.FeatureSpace` matrices.  Per-pair
 calls here only need to be fast enough for interactive use and tests.
 """
 

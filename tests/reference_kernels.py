@@ -5,6 +5,11 @@ profiles alone -- re-tokenising, building a fresh vocabulary and fitting
 TF-IDF over exactly the grid's documents -- the way the voters scored a
 (restricted) grid before they read the shared feature cache.  The
 cached-feature kernels are tested against these to 1e-9.
+
+:func:`concept_match_matrix` is the concept-level referee: the former
+per-pair loop of :func:`repro.summarize.concept_match_matrix`, which now
+scores every concept pair through one
+:func:`~repro.matchers.structure.mean_best_match` call.
 """
 
 from __future__ import annotations
@@ -237,3 +242,37 @@ REFERENCE_KERNELS = {
     "path": path,
     "structure": structure,
 }
+
+
+def concept_match_matrix(source_summary, target_summary, result):
+    """Concepts x concepts symmetrised mean-best-match, one pair at a time."""
+    source_concepts = source_summary.concepts
+    target_concepts = target_summary.concepts
+    matrix = result.matrix
+    source_index = {sid: i for i, sid in enumerate(matrix.source_ids)}
+    target_index = {tid: j for j, tid in enumerate(matrix.target_ids)}
+
+    source_members = [
+        [source_index[eid] for eid in source_summary.elements_of(c.concept_id)
+         if eid in source_index]
+        for c in source_concepts
+    ]
+    target_members = [
+        [target_index[eid] for eid in target_summary.elements_of(c.concept_id)
+         if eid in target_index]
+        for c in target_concepts
+    ]
+
+    scores = np.zeros((len(source_concepts), len(target_concepts)))
+    raw = matrix.scores
+    for row, source_ids in enumerate(source_members):
+        if not source_ids:
+            continue
+        for col, target_ids in enumerate(target_members):
+            if not target_ids:
+                continue
+            block = raw[np.ix_(source_ids, target_ids)]
+            forward = block.max(axis=1).mean()
+            backward = block.max(axis=0).mean()
+            scores[row, col] = 0.5 * (forward + backward)
+    return source_concepts, target_concepts, scores

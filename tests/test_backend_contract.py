@@ -230,6 +230,16 @@ class TestBulkSchemata:
         # A NUL inside a hash survives the one-query hash probe.
         backend.put_fingerprint("X", {"hash": "re-X\x00y", "terms": {}})
         assert backend.fingerprint_hashes() == {"X": "re-X\x00y", "X\x00y": "one"}
+        # A bulk re-put with a NUL-bearing payload and no fingerprint for
+        # the NUL name drops that name's fingerprint only.
+        backend.put_schemas(
+            {"X\x00y": {"n": "a\x00b"}, "X": {"n": "X"}},
+            fingerprints={"X": {"hash": "h3", "terms": {}}},
+        )
+        assert backend.get_schemas(names) == {
+            "X": {"n": "X"}, "X\x00y": {"n": "a\x00b"}
+        }
+        assert backend.fingerprint_hashes() == {"X": "h3"}
 
 
 class TestMatches:

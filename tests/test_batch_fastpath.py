@@ -2,7 +2,8 @@
 
 Three layers of guarantees:
 
-* ``score_block`` / ``score_pairs`` equal the per-grid voter path to 1e-9
+* ``vote`` on a shared space / ``score_pairs`` equal the per-grid voter
+  path to 1e-9
   (property-tested over generated schema pairs),
 * blocking recall against the exact match matrix stays above the 0.98
   guardrail (regression-tested on the paper's synthetic case study),
@@ -50,17 +51,13 @@ def small_profiles(small_pair):
 
 
 class TestScoreBlock:
-    def test_supports_block_flags(self):
-        assert all(voter.supports_block for voter in fast_path_voters())
-        assert not EditDistanceVoter().supports_block
-
     def test_equals_per_grid_on_samples(self, sample_relational, sample_xml):
         source = build_profile(sample_relational)
         target = build_profile(sample_xml)
         space = FeatureSpace()
         for voter in fast_path_voters():
             exact = voter.vote(source, target).confidence
-            block = voter.score_block(source, target, space)
+            block = voter.vote(source, target, space=space).confidence
             assert np.allclose(block, exact, atol=BLOCK_TOLERANCE), voter.name
 
     @settings(max_examples=6, deadline=None)
@@ -72,7 +69,7 @@ class TestScoreBlock:
         space = FeatureSpace()
         for voter in fast_path_voters():
             exact = voter.vote(source, target).confidence
-            block = voter.score_block(source, target, space)
+            block = voter.vote(source, target, space=space).confidence
             assert np.allclose(block, exact, atol=BLOCK_TOLERANCE), voter.name
 
     def test_score_pairs_matches_block(self, small_profiles):
@@ -82,7 +79,7 @@ class TestScoreBlock:
         rows = rng.integers(0, len(source), 400)
         cols = rng.integers(0, len(target), 400)
         for voter in fast_path_voters():
-            block = voter.score_block(source, target, space)
+            block = voter.vote(source, target, space=space).confidence
             pairs = voter.score_pairs(source, target, rows, cols, space)
             assert np.allclose(pairs, block[rows, cols], atol=BLOCK_TOLERANCE)
 
@@ -91,11 +88,27 @@ class TestScoreBlock:
         target = build_profile(sample_xml)
         voter = EditDistanceVoter()
         exact = voter.vote(source, target).confidence
-        assert np.array_equal(voter.score_block(source, target), exact)
         rows = np.array([0, 1, 2])
         cols = np.array([2, 1, 0])
         assert np.array_equal(
             voter.score_pairs(source, target, rows, cols), exact[rows, cols]
+        )
+
+    def test_per_pair_voter_scores_candidates_without_the_full_grid(
+        self, small_profiles
+    ):
+        # The default pair kernel scores the grid of the candidates' unique
+        # rows and columns, so 3 candidates stay under a cap that the full
+        # 180 x 100 grid breaks.
+        source, target = small_profiles
+        rows = np.array([5, 17, 5])
+        cols = np.array([40, 2, 99])
+        capped = EditDistanceVoter(max_pairs=100)
+        with pytest.raises(ValueError):
+            capped.vote(source, target)
+        exact = EditDistanceVoter().vote(source, target).confidence
+        assert np.array_equal(
+            capped.score_pairs(source, target, rows, cols), exact[rows, cols]
         )
 
     def test_gather_pairs_large_grid_branch(self):
@@ -376,6 +389,30 @@ class TestRunner:
         vocabulary_exact, _ = nway_match(schemata)
         vocabulary_fast, _ = nway_match(schemata, runner=BatchMatchRunner())
         assert len(vocabulary_fast) == len(vocabulary_exact)
+
+    def test_engine_and_runner_share_the_space_profile_cache(self, small_pair):
+        space = FeatureSpace()
+        engine = HarmonyMatchEngine(space=space)
+        runner = BatchMatchRunner(space=space)
+        schema = small_pair.source.schema
+        profile = engine.profile(schema)
+        assert runner.profile(schema) is profile
+        assert space.profiles == {id(schema): profile}
+        runner.warm([schema])
+
+        def cached_keys():
+            return [
+                key
+                for cache in (space._features, space._vectors)
+                for key in cache
+                if key[0] == id(profile)
+            ] + [key for key in space._pinned if key == id(profile)]
+
+        assert cached_keys()
+        space.release(schema)
+        assert id(schema) not in space.profiles
+        assert cached_keys() == []
+        assert engine.profile(schema) is not profile
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

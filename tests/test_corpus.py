@@ -277,6 +277,31 @@ class TestRepositoryEdgeCases:
         assert len(repository.fingerprint_names()) == 600
         repository.close()
 
+    def test_put_schemas_steps_a_few_statements(self, tmp_path):
+        # The bulk-ingest write: 600 schemata, half with a fingerprint and
+        # half dropping one, step a handful of multi-row statements in one
+        # transaction, not two per schema.
+        repository = MetadataRepository(path=str(tmp_path / "s.db"), pool_size=1)
+        backend = repository.backend
+        connection = backend._acquire()
+        backend._release(connection)
+        names = [f"s{i:04d}" for i in range(600)]
+        statements = []
+        connection.set_trace_callback(statements.append)
+        backend.put_schemas(
+            {name: {"n": name} for name in names},
+            fingerprints={name: {"hash": name, "terms": {}} for name in names[::2]},
+        )
+        connection.set_trace_callback(None)
+        verbs = [s.split()[0].upper() for s in statements]
+        assert verbs.count("INSERT") <= 5
+        assert verbs.count("DELETE") == 1
+        assert verbs.count("COMMIT") == 1
+        assert len(statements) <= 10
+        assert backend.schema_names() == names
+        assert sorted(backend.fingerprint_hashes()) == names[::2]
+        repository.close()
+
     def test_store_matches_requires_registered_schemas(self, repository):
         with pytest.raises(KeyError):
             repository.store_matches(

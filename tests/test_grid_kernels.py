@@ -116,11 +116,16 @@ def test_grid_kernel_matches_reference(voter, profiles):
 
 @pytest.mark.parametrize("voter", fast_path_voters(), ids=lambda v: v.name)
 def test_score_block_is_the_unrestricted_kernel(voter, profiles):
+    # The unrestricted vote (once the separate ``score_block``) is the
+    # reference over the full grid.
     source, target = profiles
     space = FeatureSpace()
     reference = voter.confidences(*REFERENCE_KERNELS[voter.name](voter, source, target))
     np.testing.assert_allclose(
-        voter.score_block(source, target, space), reference, atol=TOLERANCE, rtol=0
+        voter.vote(source, target, space=space).confidence,
+        reference,
+        atol=TOLERANCE,
+        rtol=0,
     )
 
 

@@ -15,6 +15,7 @@ from repro.matchers import (
     EditDistanceVoter,
     NameTokenVoter,
     StructuralVoter,
+    default_voters,
 )
 from repro.synthetic import generate_clustered_corpus
 from repro.voting import AverageMerger
@@ -99,7 +100,9 @@ class TestEngine:
         )
         assert breakdown["name_token"]["confidence"] > 0
 
-    @pytest.mark.parametrize("ensemble", ["default", "with_per_pair_voter"])
+    @pytest.mark.parametrize(
+        "ensemble", ["default", "with_per_pair_voter", "default_with_edit_distance"]
+    )
     def test_explain_merged_equals_the_matrix_entry(self, ensemble):
         """explain() must report the score match() gave the pair: structure
         keeps its child/parent context and documentation its full-schema
@@ -108,10 +111,12 @@ class TestEngine:
         source, target = corpus.schemata[0].schema, corpus.schemata[1].schema
         if ensemble == "default":
             engine = HarmonyMatchEngine()
-        else:
+        elif ensemble == "with_per_pair_voter":
             engine = HarmonyMatchEngine(
                 voters=[StructuralVoter(), DocumentationVoter(), EditDistanceVoter()]
             )
+        else:
+            engine = HarmonyMatchEngine(voters=default_voters() + [EditDistanceVoter()])
         matrix = engine.match(source, target).matrix
         rng = random.Random(2009)
         for _ in range(30):

@@ -245,7 +245,7 @@ class TestMatchServer:
 
         def sizes():
             return (
-                len(service._profiles),
+                len(service.space.profiles),
                 len(service.space._features),
                 len(service.space._pinned),
             )

@@ -404,7 +404,7 @@ class TestSharedCaches:
         assert all(c.score >= 0.05 for c in response.correspondences)
         service = default_service()
         assert service is default_service()
-        assert id(sample_relational) in service._profiles
+        assert id(sample_relational) in service.space.profiles
 
 
 class TestRepositoryBinding:
@@ -493,9 +493,9 @@ class TestRepositoryBinding:
     def test_clear_caches_releases_profiles_and_features(self, sample_relational):
         service = MatchService()
         service.engine().profile(sample_relational)
-        assert service._profiles
+        assert service.space.profiles
         service.clear_caches()
-        assert not service._profiles
+        assert not service.space.profiles
         # Compiled engines share the cleared dict and simply re-profile.
         assert service.engine().profile(sample_relational) is not None
 

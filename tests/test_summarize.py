@@ -1,5 +1,6 @@
 """Summaries, manual/automatic summarizers, concept matching, quality."""
 
+import numpy as np
 import pytest
 
 from repro.match import HarmonyMatchEngine
@@ -13,7 +14,9 @@ from repro.summarize import (
     summarize_with_labels,
     summary_agreement,
 )
+from repro.summarize import conceptmatch
 from repro.summarize.quality import inverse_purity, pairwise_f1, purity
+from tests import reference_kernels
 
 
 class TestSummary:
@@ -139,6 +142,40 @@ class TestConceptMatching:
         assert matches
         pairs = {(m.source_label, m.target_label) for m in matches}
         assert ("Person Master", "Individual") in pairs
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_concept_matrix_equals_the_per_pair_referee(
+        self, small_pair, restricted, monkeypatch
+    ):
+        # One mean_best_match call over every concept pair against the
+        # former per-pair loop; a half-restricted grid leaves concepts
+        # with no element inside it.
+        source, target = small_pair.source.schema, small_pair.target.schema
+        ids = [element.element_id for element in source]
+        rows = ids[: len(ids) // 2] if restricted else None
+        result = HarmonyMatchEngine().match(source, target, source_element_ids=rows)
+        summaries = (
+            small_pair.source.truth_summary(),
+            small_pair.target.truth_summary(),
+        )
+        _, _, scores = concept_match_matrix(*summaries, result)
+        _, _, reference = reference_kernels.concept_match_matrix(*summaries, result)
+        np.testing.assert_allclose(scores, reference, atol=1e-9, rtol=0)
+        if restricted:
+            assert not scores.any(axis=1).all()
+
+        def listed(matches):
+            return [(m.source_concept_id, m.target_concept_id) for m in matches]
+
+        matches = match_concepts(*summaries, result, threshold=0.0)
+        monkeypatch.setattr(
+            conceptmatch, "concept_match_matrix", reference_kernels.concept_match_matrix
+        )
+        expected = match_concepts(*summaries, result, threshold=0.0)
+        assert matches and listed(matches) == listed(expected)
+        np.testing.assert_allclose(
+            [m.score for m in matches], [m.score for m in expected], atol=1e-9, rtol=0
+        )
 
     def test_one_to_one_constraint(self, sample_relational, sample_xml):
         result = HarmonyMatchEngine().match(sample_relational, sample_xml)
