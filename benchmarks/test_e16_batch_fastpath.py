@@ -49,7 +49,7 @@ def test_e16_batch_fastpath(benchmark, case_pair, report_factory):
     engine.profile(target)
     exact_result = engine.match(source, target)
 
-    runner = BatchMatchRunner(executor="serial")
+    runner = BatchMatchRunner()
     runner.warm([source, target])
     fast_result = runner.match_pair(source, target)
 

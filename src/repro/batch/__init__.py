@@ -9,8 +9,8 @@ schemata and a single MATCH spans 10^4-10^6 candidate pairs (sections 2 and
   shared-token inverted indexes (cheap, high recall, measured guardrails),
 * :class:`repro.batch.runner.BatchMatchRunner` scores only the survivors
   through the voters' bulk ``score_pairs`` API over cached
-  :class:`~repro.matchers.profile.FeatureSpace` matrices, fanning pairs out
-  over thread/process pools for one-vs-corpus and all-pairs N-way runs.
+  :class:`~repro.matchers.profile.FeatureSpace` matrices, in-process or
+  fanned out over a process pool for one-vs-corpus and all-pairs N-way runs.
 
 Candidate scores are *exactly* the engine's scores (the property tests hold
 them to 1e-9), so the only approximation is blocking recall -- measured,

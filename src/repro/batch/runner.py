@@ -16,7 +16,9 @@ scores every pair of the grid; fine for one pair, waste for a repository.
    band escalate to the Stage-2 oracle (budgeted, most-ambiguous-first;
    see :mod:`repro.cascade` and ``docs/cascade.md``) -- the same staged
    semantics as the exact engine, applied to the candidate list,
-5. pairs fan out over a ``concurrent.futures`` thread or process pool.
+5. with ``workers > 1``, pairs fan out over a process pool of that width
+   (each worker rebuilds the runner and re-derives its own features);
+   ``workers=1``, the default, matches every pair in-process.
 
 Non-candidate pairs take ``fill_value`` (default 0.0 -- complete
 uncertainty), so selection strategies see them as unmatchable -- and never
@@ -27,9 +29,8 @@ blocking recall (bench E16 holds it >= 0.98 on the case study).
 
 from __future__ import annotations
 
-import contextvars
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -46,10 +47,16 @@ from repro.match.selection import SelectionStrategy, ThresholdSelection
 from repro.matchers import MatchVoter
 from repro.matchers.profile import FeatureSpace, SchemaProfile
 from repro.schema.schema import Schema
-from repro.telemetry import current_trace, span
+from repro.telemetry import span
 from repro.voting.merger import VoteMerger
 
-__all__ = ["BatchMatchResult", "BatchPairOutcome", "BatchMatchRunner"]
+__all__ = ["BatchMatchResult", "BatchPairOutcome", "BatchMatchRunner", "check_workers"]
+
+
+def check_workers(workers: int) -> None:
+    """Reject a fan-out width below one (1 = in-process, > 1 = a pool)."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 class BatchMatchResult(MatchResult):
@@ -113,7 +120,6 @@ def _worker_match_chunk(payload: dict) -> list[BatchPairOutcome]:
         selection=payload["selection"],
         blocking=payload["blocking"],
         fill_value=payload["fill_value"],
-        executor="serial",
         keep_matrices=False,
         cascade=CascadeExecutor.from_plan(plan) if plan is not None else None,
     )
@@ -143,8 +149,9 @@ class BatchMatchRunner(HarmonyMatchEngine):
     voters / merger / space / cascade:
         As for :class:`~repro.match.engine.HarmonyMatchEngine`.  The
         cascade applies to every pair's merged candidate scores (see the
-        module docstring); process-pool fan-out ships its *plan* and
-        recompiles per worker.
+        module docstring); process-pool fan-out ships its *plan*, recompiles
+        it per worker, and folds the workers' reports into the cascade's
+        counters.
     selection:
         Default selection strategy for corpus outcomes
         (:class:`ThresholdSelection` (0.15) unless given).
@@ -154,18 +161,9 @@ class BatchMatchRunner(HarmonyMatchEngine):
     fill_value:
         Score assigned to non-candidate pairs (default 0.0, complete
         uncertainty; must lie in [-1, 1]).
-    executor:
-        ``"serial"`` (default), ``"thread"``, or ``"process"``.  Threads
-        share the feature cache but contend on the GIL (candidate-restricted
-        kernels are too fine-grained to release it for long), so they help
-        mainly when voters do I/O; processes re-derive features per worker
-        chunk and return correspondences without matrices, but scale with
-        cores on large registries.
-    max_workers:
-        Pool width for thread/process executors (None = library default).
     keep_matrices:
-        Whether corpus outcomes retain their dense matrices (forced off in
-        process mode, where matrices would dominate pickling cost).
+        Whether corpus outcomes retain their dense matrices (forced off on
+        a process pool, where matrices would dominate pickling cost).
     """
 
     def __init__(
@@ -176,8 +174,6 @@ class BatchMatchRunner(HarmonyMatchEngine):
         blocking: BlockingPolicy | None = None,
         space: FeatureSpace | None = None,
         fill_value: float = 0.0,
-        executor: str = "serial",
-        max_workers: int | None = None,
         keep_matrices: bool = True,
         cascade: CascadeExecutor | None = None,
     ):
@@ -189,12 +185,6 @@ class BatchMatchRunner(HarmonyMatchEngine):
         if not -1.0 <= fill_value <= 1.0:
             raise ValueError(f"fill_value must be in [-1, 1], got {fill_value}")
         self.fill_value = fill_value
-        if executor not in ("serial", "thread", "process"):
-            raise ValueError(
-                f"executor must be serial, thread, or process, got {executor!r}"
-            )
-        self.executor = executor
-        self.max_workers = max_workers
         self.keep_matrices = keep_matrices
 
     # -- warm-up --------------------------------------------------------
@@ -203,9 +193,9 @@ class BatchMatchRunner(HarmonyMatchEngine):
         blocking keys' features and what each voter's :meth:`MatchVoter.warm`
         builds.
 
-        Called automatically before fan-out so pool workers only *read* the
-        shared caches; also useful to move one-time costs out of a timed
-        region (bench E16 separates warm-up from steady-state matching).
+        Called automatically before an in-process sweep; also useful to
+        move one-time costs out of a timed region (bench E16 separates
+        warm-up from steady-state matching).
         """
         for schema in schemata:
             profile = self.profile(schema)
@@ -336,91 +326,73 @@ class BatchMatchRunner(HarmonyMatchEngine):
         schemata: dict[str, Schema],
         pairs: Sequence[tuple[str, str]],
         selection: SelectionStrategy | None,
+        workers: int,
     ) -> list[BatchPairOutcome]:
         selection = selection if selection is not None else self.selection
-        if self.executor == "process":
-            return self._run_pairs_processes(schemata, pairs, selection)
+        if workers > 1 and len(pairs) > 1:
+            return self._run_pairs_processes(schemata, pairs, selection, workers)
         self.warm(schemata.values())
-        if self.executor == "serial" or len(pairs) <= 1:
-            return [
-                self._pair_outcome(schemata[a], schemata[b], selection, a, b)
-                for a, b in pairs
-            ]
-        if current_trace() is not None:
-            # Context variables don't follow work into pool threads by
-            # themselves: copy the caller's context once per task (a single
-            # Context object cannot run concurrently) so every fanned-out
-            # pair records its spans into the caller's trace, correctly
-            # parented.
-            contexts = [contextvars.copy_context() for _ in pairs]
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                return list(
-                    pool.map(
-                        lambda task: task[0].run(
-                            self._pair_outcome,
-                            schemata[task[1][0]],
-                            schemata[task[1][1]],
-                            selection,
-                            *task[1],
-                        ),
-                        zip(contexts, pairs),
-                    )
-                )
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            return list(
-                pool.map(
-                    lambda pair: self._pair_outcome(
-                        schemata[pair[0]], schemata[pair[1]], selection, *pair
-                    ),
-                    pairs,
-                )
-            )
+        return [
+            self._pair_outcome(schemata[a], schemata[b], selection, a, b)
+            for a, b in pairs
+        ]
 
     def _run_pairs_processes(
         self,
         schemata: dict[str, Schema],
         pairs: Sequence[tuple[str, str]],
         selection: SelectionStrategy,
+        workers: int,
     ) -> list[BatchPairOutcome]:
-        with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-            n_workers = pool._max_workers
-            chunks = [list(pairs[start::n_workers]) for start in range(n_workers)]
-            payloads = []
-            for chunk in chunks:
-                needed = {name for pair in chunk for name in pair}
-                payloads.append(
-                    {
-                        "pairs": chunk,
-                        "schemata": {name: schemata[name] for name in needed},
-                        "voters": None if self._default_ensemble else self.voters,
-                        "merger": None if self._default_merger else self.merger,
-                        "selection": selection,
-                        "blocking": self.blocking,
-                        "fill_value": self.fill_value,
-                        "cascade_plan": (
-                            self.cascade.plan if self.cascade is not None else None
-                        ),
-                    }
-                )
+        n_workers = min(workers, len(pairs))
+        payloads = []
+        for start in range(n_workers):
+            chunk = list(pairs[start::n_workers])
+            needed = {name for pair in chunk for name in pair}
+            payloads.append(
+                {
+                    "pairs": chunk,
+                    "schemata": {name: schemata[name] for name in needed},
+                    "voters": None if self._default_ensemble else self.voters,
+                    "merger": None if self._default_merger else self.merger,
+                    "selection": selection,
+                    "blocking": self.blocking,
+                    "fill_value": self.fill_value,
+                    "cascade_plan": (
+                        self.cascade.plan if self.cascade is not None else None
+                    ),
+                }
+            )
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
             outcome_lists = list(pool.map(_worker_match_chunk, payloads))
         # Chunk k holds pairs k, k+n, k+2n, ... -- re-interleave to pair order.
-        ordered: list[BatchPairOutcome | None] = [None] * len(pairs)
-        for chunk_index, outcomes in enumerate(outcome_lists):
-            for position, outcome in enumerate(outcomes):
-                ordered[chunk_index + position * n_workers] = outcome
-        return [outcome for outcome in ordered if outcome is not None]
+        ordered = [
+            outcome_lists[index % n_workers][index // n_workers]
+            for index in range(len(pairs))
+        ]
+        # Workers compiled their own cascades: fold their spend into ours.
+        counters = self.cascade.counters if self.cascade is not None else None
+        if counters is not None:
+            for outcome in ordered:
+                if outcome.cascade is not None:
+                    counters.record(outcome.cascade)
+        return ordered
 
     def match_corpus(
         self,
         source: Schema,
         corpus: dict[str, Schema],
         selection: SelectionStrategy | None = None,
+        workers: int = 1,
     ) -> list[BatchPairOutcome]:
         """Match one schema against every schema of a corpus.
 
         Outcomes come back in sorted-corpus-name order (deterministic
-        regardless of dict insertion order or pool scheduling).
+        regardless of dict insertion order or pool scheduling).  ``workers``
+        is the fan-out width: 1 matches in-process, more fans the pairs out
+        over a process pool (selected pairs equal, scores within 1e-9).
         """
+        check_workers(workers)
         names = sorted(corpus)
         registry = dict(corpus)
         source_key = source.name
@@ -428,14 +400,14 @@ class BatchMatchRunner(HarmonyMatchEngine):
             source_key = f"{source_key}*"
         registry[source_key] = source
         pairs = [(source_key, name) for name in names]
-        if self.executor == "process":
-            outcomes = self._run_pairs(registry, pairs, selection)
+        if workers > 1 and len(pairs) > 1:
+            outcomes = self._run_pairs(registry, pairs, selection, workers)
         else:
             # One stacked product per set feature instead of one per pair.
             self.warm(registry.values())
             targets = [self.profile(corpus[name]) for name in names]
             with self.space.stacked(self.profile(source), targets):
-                outcomes = self._run_pairs(registry, pairs, selection)
+                outcomes = self._run_pairs(registry, pairs, selection, 1)
         # The registry key is collision-proofed internally; outcomes report
         # the schema's real name.
         for outcome in outcomes:
@@ -446,8 +418,11 @@ class BatchMatchRunner(HarmonyMatchEngine):
         self,
         schemata: dict[str, Schema],
         selection: SelectionStrategy | None = None,
+        workers: int = 1,
     ) -> list[BatchPairOutcome]:
-        """All C(N,2) pairwise matches of a registry (the N-way front end)."""
+        """All C(N,2) pairwise matches of a registry (the N-way front end),
+        fanned out as for :meth:`match_corpus`."""
+        check_workers(workers)
         return self._run_pairs(
-            schemata, list(combinations(sorted(schemata), 2)), selection
+            schemata, list(combinations(sorted(schemata), 2)), selection, workers
         )

@@ -173,7 +173,13 @@ def _cmd_match(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_workers(args: argparse.Namespace) -> None:
+    if args.workers < 1:
+        raise _fail(f"--workers must be >= 1, got {args.workers}")
+
+
 def _cmd_batch(args: argparse.Namespace) -> int:
+    _check_workers(args)
     service = MatchService()
     options = MatchOptions(threshold=args.threshold, execution="batch")
     started = time.perf_counter()
@@ -182,8 +188,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         if len(registry) < 2:
             raise SystemExit("batch --all-pairs needs at least two schemata")
         responses = service.match_all_pairs(
-            registry, options=options, executor=args.executor,
-            max_workers=args.workers,
+            registry, options=options, workers=args.workers
         )
     else:
         if len(args.schemata) < 2:
@@ -191,8 +196,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         source = _load(args.schemata[0])
         corpus = _load_registry(args.schemata[1:])
         responses = service.match_corpus(
-            source, corpus, options=options, executor=args.executor,
-            max_workers=args.workers,
+            source, corpus, options=options, workers=args.workers
         )
     elapsed = time.perf_counter() - started
 
@@ -214,7 +218,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     print(
         f"batch total: {len(responses)} match operations, {total_pairs:,} pairs "
         f"({total_candidates:,} scored after blocking) in {elapsed:.2f}s "
-        f"[{args.executor}]"
+        f"[workers={args.workers}]"
     )
     return 0
 
@@ -252,8 +256,6 @@ def _cmd_corpus_match(args: argparse.Namespace) -> int:
             ),
             retrieval_limit=args.retrieval_limit,
             reuse=None if args.no_reuse else ReusePolicy(),
-            executor=args.executor,
-            max_workers=args.workers,
         )
         response = service.corpus_match(request)
     finally:
@@ -527,8 +529,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
     if args.chunk_size < 1:
         raise _fail(f"--chunk-size must be >= 1, got {args.chunk_size}")
-    if args.workers is not None and args.workers < 1:
-        raise _fail(f"--workers must be >= 1, got {args.workers}")
+    _check_workers(args)
     try:
         repository = MetadataRepository(path=args.db, pool_size=args.pool_size)
     except sqlite3.Error as exc:
@@ -539,8 +540,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                 repository,
                 iter_schema_payloads(args.source),
                 chunk_size=args.chunk_size,
-                executor=args.executor,
-                max_workers=args.workers,
+                workers=args.workers,
                 fingerprint=not args.no_fingerprints,
             )
         except FileNotFoundError as exc:
@@ -694,9 +694,9 @@ def build_parser() -> argparse.ArgumentParser:
     batch_parser.add_argument("--threshold", type=float, default=0.15)
     batch_parser.add_argument("--limit", type=int, default=10)
     batch_parser.add_argument(
-        "--executor", choices=("serial", "thread", "process"), default="serial"
+        "--workers", type=int, default=1,
+        help="match processes; > 1 fans the pairs out over a process pool",
     )
-    batch_parser.add_argument("--workers", type=int, default=None)
     batch_parser.set_defaults(handler=_cmd_batch)
 
     corpus_parser = subparsers.add_parser(
@@ -728,10 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-reuse", action="store_true",
         help="skip boosting/seeding from previously stored matches",
     )
-    corpus_parser.add_argument(
-        "--executor", choices=("serial", "thread", "process"), default="serial"
-    )
-    corpus_parser.add_argument("--workers", type=int, default=None)
     corpus_parser.add_argument(
         "--json", action="store_true",
         help="emit the CorpusMatchResponse envelope as JSON",
@@ -971,12 +967,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="schemata per backend transaction",
     )
     ingest_parser.add_argument(
-        "--executor", choices=("serial", "thread", "process"), default="serial",
-        help="how to fan out fingerprint precomputation",
-    )
-    ingest_parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker count for --executor thread/process",
+        "--workers", type=int, default=1,
+        help="decode/fingerprint processes; > 1 fans out over a process pool",
     )
     ingest_parser.add_argument(
         "--no-fingerprints", action="store_true",

@@ -9,10 +9,10 @@ fingerprint lazily.  This module is the batched path:
 
 1. :func:`iter_schema_payloads` streams ``(name, payload)`` pairs from a
    directory of schema JSON files or a JSONL file (one schema per line);
-2. every payload is decoded, and its fingerprint derived, serially or
-   fanned out across a worker pool -- the
-   :class:`~repro.pipeline.batch.BatchMatchRunner` executor convention
-   (``serial`` / ``thread`` / ``process``).  A record that does not decode
+2. every payload is decoded, and its fingerprint derived, in-process or
+   fanned out across a process pool -- the
+   :class:`~repro.batch.runner.BatchMatchRunner` ``workers`` convention
+   (1 = in-process, > 1 = a pool of that width).  A record that does not decode
    (or is not JSON, or names no schema) is reported in
    :attr:`IngestReport.rejected` and never stored, so one malformed record
    neither aborts the ingest nor reaches the repository;
@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
+from repro.batch.runner import check_workers
 from repro.corpus.index import _UNREADABLE_PAYLOAD, _schema_fingerprint, payload_hash
 from repro.repository.store import MetadataRepository
 from repro.schema.schema import Schema
@@ -49,9 +50,6 @@ __all__ = [
     "bulk_ingest",
     "iter_schema_payloads",
 ]
-
-_EXECUTORS = ("serial", "thread", "process")
-
 
 class RejectedRecord(NamedTuple):
     """One input record an ingest refused to store, and why."""
@@ -173,8 +171,7 @@ def bulk_ingest(
     repository: MetadataRepository,
     items: Iterable,
     chunk_size: int = 256,
-    executor: str = "serial",
-    max_workers: int | None = None,
+    workers: int = 1,
     fingerprint: bool = True,
 ) -> IngestReport:
     """Ingest many schemata through the batched registration path.
@@ -183,8 +180,9 @@ def bulk_ingest(
     pairs, or ``(name, Schema)`` pairs (mixtures are fine), and the
     :class:`RejectedRecord` items :func:`iter_schema_payloads` yields;
     duplicates of a name collapse to the last occurrence, matching
-    re-registration semantics.  Every payload is decoded -- via the named
-    executor -- before anything is written: one that does not decode is
+    re-registration semantics.  Every payload is decoded -- on a process
+    pool of ``workers`` processes when ``workers > 1`` -- before anything
+    is written: one that does not decode is
     not stored and lands in :attr:`IngestReport.rejected`, while every
     valid record is still written.  With ``fingerprint=True`` (the
     default) term-bag fingerprints are derived in the same pass and stored
@@ -193,10 +191,7 @@ def bulk_ingest(
     the first refresh (rarely what an ingest job wants, but the knob the
     E21 bench uses to time registration and fingerprinting separately).
     """
-    if executor not in _EXECUTORS:
-        raise ValueError(
-            f"executor must be one of {_EXECUTORS}, got {executor!r}"
-        )
+    check_workers(workers)
     started = time.perf_counter()
     payloads: dict[str, dict] = {}
     sources: dict[str, str] = {}
@@ -214,11 +209,10 @@ def bulk_ingest(
     fp_started = time.perf_counter()
     names = list(payloads)
     vet = partial(_vet, fingerprint=fingerprint)
-    if executor == "serial" or not names:
+    if workers == 1 or not names:
         vetted = [vet(payloads[name]) for name in names]
     else:
-        pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
-        with pool_cls(max_workers=max_workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             vetted = list(
                 pool.map(vet, [payloads[name] for name in names], chunksize=16)
             )

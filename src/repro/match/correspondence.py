@@ -151,12 +151,6 @@ class CorrespondenceSet:
         """Target elements participating in a correspondence of given status."""
         return {c.target_id for c in self if c.status in statuses}
 
-    def for_source(self, source_id: str) -> list[Correspondence]:
-        return [c for c in self if c.source_id == source_id]
-
-    def for_target(self, target_id: str) -> list[Correspondence]:
-        return [c for c in self if c.target_id == target_id]
-
     def merge(self, other: "CorrespondenceSet") -> "CorrespondenceSet":
         """New set with ``other``'s assertions layered over this one's."""
         merged = CorrespondenceSet(list(self))

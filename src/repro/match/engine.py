@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.cascade.executor import CascadeExecutor
 from repro.cascade.plan import CascadeReport
-from repro.match.correspondence import Correspondence, CorrespondenceSet
+from repro.match.correspondence import Correspondence
 from repro.match.matrix import MatchMatrix
 from repro.match.selection import SelectionStrategy, ThresholdSelection
 from repro.matchers import DEFAULT_VOTER_WEIGHTS, MatchVoter, default_voters
@@ -76,11 +76,6 @@ class MatchResult:
         """Materialise candidate correspondences under a selection strategy."""
         strategy = selection if selection is not None else ThresholdSelection(0.15)
         return strategy.select(self.matrix)
-
-    def candidate_set(
-        self, selection: SelectionStrategy | None = None
-    ) -> CorrespondenceSet:
-        return CorrespondenceSet(self.candidates(selection))
 
     def matched_source_ids(self, threshold: float) -> set[str]:
         """Source elements whose best score clears ``threshold``."""

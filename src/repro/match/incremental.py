@@ -105,10 +105,6 @@ class IncrementalMatcher:
         """Sum of pair-grid sizes across all increments so far."""
         return sum(increment.n_pairs for increment in self.increments)
 
-    @property
-    def total_elapsed_seconds(self) -> float:
-        return sum(increment.elapsed_seconds for increment in self.increments)
-
     def pairs_per_increment(self) -> list[int]:
         """The per-increment workload series of section 3.3 (E5)."""
         return [increment.n_pairs for increment in self.increments]

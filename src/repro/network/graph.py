@@ -196,11 +196,6 @@ class ComposedPath:
     def pivots(self) -> tuple[str, ...]:
         return self.nodes[1:-1]
 
-    @property
-    def n_hops(self) -> int:
-        """Pivot count (the k of "up to k hops")."""
-        return len(self.nodes) - 2
-
     def to_dict(self) -> dict:
         return {"nodes": list(self.nodes), "n_pairs": self.n_pairs}
 

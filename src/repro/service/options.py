@@ -16,7 +16,7 @@ Every stock configuration is expressible: the calibrated Harmony default
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.cascade.plan import CascadePlan
@@ -255,10 +255,6 @@ class MatchOptions:
         return HungarianSelection(threshold=self.threshold)
 
     # -- derivation and serialisation -----------------------------------
-    def with_execution(self, execution: str) -> "MatchOptions":
-        """A copy with a different routing hint."""
-        return replace(self, execution=execution)
-
     def to_dict(self) -> dict[str, Any]:
         """JSON-compatible dict; inverse of :meth:`from_dict`."""
         return {

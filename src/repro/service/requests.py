@@ -86,13 +86,6 @@ class MatchRequest:
             if ids is not None:
                 object.__setattr__(self, attribute, tuple(ids))
 
-    @property
-    def is_restricted(self) -> bool:
-        """Whether either side of the pair grid is restricted."""
-        return (
-            self.source_element_ids is not None or self.target_element_ids is not None
-        )
-
     # -- serialisation (the /match wire form) ---------------------------
     def to_dict(self) -> dict[str, Any]:
         """JSON-compatible dict; inverse of :meth:`from_dict`."""
@@ -162,9 +155,11 @@ class CorpusMatchRequest:
         assertions into each candidate's correspondences; ``None`` turns
         reuse off.  Reuse needs the query schema to be registered (priors
         are keyed by schema name); inline sources skip it silently.
-    executor / max_workers:
-        Candidate fan-out, as for the batch runner (``serial`` |
-        ``thread`` | ``process``).
+
+    The request carries no fan-out setting: the few survivors match
+    serially in the serving process.  Legacy ``executor`` /
+    ``max_workers`` wire keys are ignored on the way in, so they neither
+    reach the runner cache nor split the response-cache key.
     """
 
     source: SchemaRef
@@ -173,8 +168,6 @@ class CorpusMatchRequest:
     retrieval_limit: int | None = None
     exclude: tuple[str, ...] = ()
     reuse: ReusePolicy | None = field(default_factory=ReusePolicy)
-    executor: str = "serial"
-    max_workers: int | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.source, (Schema, str)):
@@ -208,8 +201,6 @@ class CorpusMatchRequest:
             "retrieval_limit": self.retrieval_limit,
             "exclude": list(self.exclude),
             "reuse": self.reuse.to_dict() if self.reuse is not None else None,
-            "executor": self.executor,
-            "max_workers": self.max_workers,
         }
 
     @classmethod
@@ -231,8 +222,6 @@ class CorpusMatchRequest:
             retrieval_limit=payload.get("retrieval_limit"),
             exclude=tuple(payload.get("exclude", ())),
             reuse=reuse,
-            executor=payload.get("executor", "serial"),
-            max_workers=payload.get("max_workers"),
         )
 
 

@@ -45,9 +45,9 @@ import threading
 import time
 from dataclasses import replace
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.batch.runner import BatchMatchRunner, BatchPairOutcome
+from repro.batch.runner import BatchMatchRunner, BatchPairOutcome, check_workers
 from repro.cascade.executor import CascadeCounters, CascadeExecutor
 from repro.cascade.plan import CascadePlan
 from repro.corpus.index import ShardedCorpusIndex
@@ -236,15 +236,13 @@ class MatchService:
     def runner(
         self,
         options: MatchOptions | None = None,
-        executor: str = "serial",
-        max_workers: int | None = None,
         keep_matrices: bool = True,
     ) -> BatchMatchRunner:
         """The batch runner for a configuration, sharing the service caches."""
         options = options if options is not None else self.options
         if options.trace:
             options = replace(options, trace=False)
-        key = (options, executor, max_workers, keep_matrices)
+        key = (options, keep_matrices)
         with self._lock:
             runner = self._runners.get(key)
             if runner is None:
@@ -254,8 +252,6 @@ class MatchService:
                     selection=options.build_selection(),
                     space=self.space,
                     fill_value=options.fill_value,
-                    executor=executor,
-                    max_workers=max_workers,
                     keep_matrices=keep_matrices,
                     cascade=self.cascade_executor(options.cascade),
                 )
@@ -467,77 +463,75 @@ class MatchService:
         corpus: Mapping[str, SchemaRef],
         options: MatchOptions | None = None,
         selection: SelectionStrategy | None = None,
-        executor: str = "serial",
-        max_workers: int | None = None,
+        workers: int = 1,
     ) -> list[MatchResponse]:
         """Match one schema against every schema of a corpus.
 
         ``selection`` optionally overrides the options-declared strategy
         with a live instance (for in-process callers; the declarative form
-        in ``options`` is what serialises).
+        in ``options`` is what serialises).  ``workers`` is the batch
+        route's fan-out width (1 = in-process, > 1 = a process pool).
         """
-        options = options if options is not None else self.options
         source_schema = self.resolve(source)
         registry = self._resolve_registry(corpus)
-        total = sum(len(source_schema) * len(s) for s in registry.values())
-        route, reason = self._route_sweep(total, options)
-        if route == "batch":
-            # Sweep envelopes never carry dense matrices; don't retain them.
-            runner = self.runner(
-                options, executor=executor, max_workers=max_workers,
-                keep_matrices=False,
-            )
-            outcomes = runner.match_corpus(source_schema, registry, selection=selection)
-            return [
-                self._envelope_outcome(outcome, options, route, reason, runner)
-                for outcome in outcomes
-            ]
-        selection = selection if selection is not None else options.build_selection()
-        engine = self.engine(options)
-        responses = []
-        for name in sorted(registry):
-            result = engine.match(source_schema, registry[name])
-            responses.append(
-                self._envelope(
-                    result, options, route, reason, result.n_pairs, selection,
-                    target_name=name,
-                )
-            )
-        return responses
+        return self._sweep(
+            [(source_schema.name, source_schema, name, registry[name])
+             for name in sorted(registry)],
+            options, selection, workers,
+            lambda runner: runner.match_corpus(
+                source_schema, registry, selection=selection, workers=workers
+            ),
+        )
 
     def match_all_pairs(
         self,
         schemata: Mapping[str, SchemaRef],
         options: MatchOptions | None = None,
         selection: SelectionStrategy | None = None,
-        executor: str = "serial",
-        max_workers: int | None = None,
+        workers: int = 1,
     ) -> list[MatchResponse]:
         """All C(N,2) pairwise matches of a registry (the N-way front end)."""
-        options = options if options is not None else self.options
         registry = self._resolve_registry(schemata)
-        pairs = list(combinations(sorted(registry), 2))
-        total = sum(len(registry[a]) * len(registry[b]) for a, b in pairs)
+        return self._sweep(
+            [(a, registry[a], b, registry[b])
+             for a, b in combinations(sorted(registry), 2)],
+            options, selection, workers,
+            lambda runner: runner.match_all_pairs(
+                registry, selection=selection, workers=workers
+            ),
+        )
+
+    def _sweep(
+        self,
+        pairs: list[tuple[str, Schema, str, Schema]],
+        options: MatchOptions | None,
+        selection: SelectionStrategy | None,
+        workers: int,
+        run_batch: Callable[[BatchMatchRunner], list[BatchPairOutcome]],
+    ) -> list[MatchResponse]:
+        """One sweep of named ``(source, target)`` pairs: route it by its
+        total pair count, run it on the batch runner (``run_batch``) or
+        pair by pair on the exact engine, and envelope every pair."""
+        check_workers(workers)
+        options = options if options is not None else self.options
+        total = sum(len(source) * len(target) for _, source, _, target in pairs)
         route, reason = self._route_sweep(total, options)
         if route == "batch":
-            runner = self.runner(
-                options, executor=executor, max_workers=max_workers,
-                keep_matrices=False,
-            )
-            outcomes = runner.match_all_pairs(registry, selection=selection)
+            # Sweep envelopes never carry dense matrices; don't retain them.
+            runner = self.runner(options, keep_matrices=False)
             return [
                 self._envelope_outcome(outcome, options, route, reason, runner)
-                for outcome in outcomes
+                for outcome in run_batch(runner)
             ]
         selection = selection if selection is not None else options.build_selection()
         engine = self.engine(options)
         responses = []
-        for name_a, name_b in pairs:
-            result = engine.match(registry[name_a], registry[name_b])
+        for source_name, source, target_name, target in pairs:
+            result = engine.match(source, target)
             responses.append(
                 self._envelope(
                     result, options, route, reason, result.n_pairs, selection,
-                    source_name=name_a, target_name=name_b,
+                    source_name=source_name, target_name=target_name,
                 )
             )
         return responses
@@ -624,8 +618,8 @@ class MatchService:
            registered systems with identical schemata stay candidates
            for a by-name query (the consolidation case: the sibling is
            the best match, not a copy);
-        2. **match** -- each surviving candidate is matched on the blocked
-           batch fast path, fanned out by the shared
+        2. **match** -- each surviving candidate is matched serially on
+           the blocked batch fast path of the shared
            :class:`~repro.batch.BatchMatchRunner` (the execution hint in
            ``request.options`` is ignored: pruning has already decided the
            cost/recall trade, so the per-candidate path is always batch);
@@ -722,12 +716,7 @@ class MatchService:
         }
         retrieval_score = {hit.schema_name: hit.score for hit in hits}
         with span("route.compile", route="batch"):
-            runner = self.runner(
-                request.options,
-                executor=request.executor,
-                max_workers=request.max_workers,
-                keep_matrices=False,
-            )
+            runner = self.runner(request.options, keep_matrices=False)
         outcomes = runner.match_corpus(
             source, registry, selection=request.options.build_selection()
         )
@@ -849,7 +838,7 @@ class MatchService:
         correspondences = composed
         if request.verify:
             with span("route.compile", route="batch"):
-                runner = self.runner(request.options, keep_matrices=False)
+                runner = self.runner(request.options)
             result = runner.match_pair(
                 self._registered_schema(request.source),
                 self._registered_schema(request.target),

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 __all__ = [
     "BUCKET_BOUNDS_SECONDS",
@@ -119,15 +119,6 @@ class LatencyHistogram:
             for index, count in enumerate(other_counts):
                 self._counts[index] += count
             self._seconds_total += other_total
-
-    def merge_counts(
-        self, counts: Iterable[int], seconds_total: float
-    ) -> None:
-        """Fold raw bucket counts in (the fleet-aggregation path)."""
-        with self._lock:
-            for index, count in enumerate(counts):
-                self._counts[index] += count
-            self._seconds_total += seconds_total
 
     def snapshot(self) -> tuple[list[int], float]:
         with self._lock:

@@ -18,9 +18,8 @@ Bench E24 gates the disabled-path cost at <= 2% of an E19-style request.
 
 **Thread-safety.**  Span *parentage* rides on a context variable, so
 nesting is correct per thread (and propagates into thread pools when the
-caller copies its context -- the batch runner does, see
-``repro.batch.runner``); the span *list* appends under the trace's lock,
-so concurrent fan-out workers record into one tree safely.
+caller copies its context); the span *list* appends under the trace's
+lock, so concurrent threads record into one tree safely.
 
 The serialised form (:meth:`Trace.to_dict`) is what the envelopes carry,
 what ``serve --trace-log`` writes as JSONL, and what ``repro trace``

@@ -32,6 +32,7 @@ from repro.matchers import (
     default_voters,
 )
 from repro.nway import nway_match
+from repro.schema import Schema
 from repro.synthetic import PairSpec, generate_pair
 
 BLOCK_TOLERANCE = 1e-9
@@ -329,22 +330,42 @@ class TestRunner:
         assert all(outcome.matrix is not None for outcome in outcomes)
         assert all(outcome.n_candidates > 0 for outcome in outcomes)
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_corpus_sweep_equals_per_pair_matches(self, small_pair, executor):
-        # The sweep serves set products from one stacked product per kind.
+    @pytest.mark.parametrize(
+        "workers", [pytest.param(1, id="serial"), pytest.param(2, id="process")]
+    )
+    def test_corpus_sweep_equals_per_pair_matches(self, small_pair, workers):
+        # The in-process sweep serves set products from one stacked product
+        # per kind, bit-identical to per-pair matches; a process sweep
+        # returns no matrices, and its workers intern tokens in another
+        # order, so its selected pairs agree and its scores to 1e-9.
         corpus = {
             f"T{seed}": generate_pair(PairSpec(), seed=seed).target.schema
             for seed in (5, 6, 7)
         }
         corpus["B"] = small_pair.target.schema
-        runner = BatchMatchRunner(executor=executor, max_workers=2)
-        outcomes = runner.match_corpus(small_pair.source.schema, corpus)
+        runner = BatchMatchRunner()
+        outcomes = runner.match_corpus(
+            small_pair.source.schema, corpus, workers=workers
+        )
         assert runner.space._products == {}
+        assert len(outcomes) == len(corpus)
         for outcome in outcomes:
             single = runner.match_pair(
                 small_pair.source.schema, corpus[outcome.target_name]
             )
-            assert np.array_equal(outcome.matrix.scores, single.matrix.scores)
+            expected = single.candidates(runner.selection)
+            assert [c.pair for c in outcome.correspondences] == [
+                c.pair for c in expected
+            ]
+            assert np.allclose(
+                [c.score for c in outcome.correspondences],
+                [c.score for c in expected],
+                rtol=0.0, atol=1e-9,
+            )
+            if workers == 1:
+                assert np.array_equal(outcome.matrix.scores, single.matrix.scores)
+            else:
+                assert outcome.matrix is None
 
     def test_corpus_source_name_survives_collision(self, small_pair):
         # A registry may already hold a schema with the source's name (e.g.
@@ -363,9 +384,8 @@ class TestRunner:
             "SC": generate_pair(PairSpec(), seed=5).target.schema,
         }
         reference = None
-        for executor in ("serial", "thread", "process"):
-            runner = BatchMatchRunner(executor=executor, max_workers=2)
-            outcomes = runner.match_all_pairs(schemata)
+        for workers in (1, 2):
+            outcomes = BatchMatchRunner().match_all_pairs(schemata, workers=workers)
             summary = [
                 (
                     outcome.source_name,
@@ -377,7 +397,7 @@ class TestRunner:
             if reference is None:
                 reference = summary
             else:
-                assert summary == reference, executor
+                assert summary == reference, workers
         # Process outcomes travel without their dense matrices.
         assert all(outcome.matrix is None for outcome in outcomes)
 
@@ -419,5 +439,7 @@ class TestRunner:
             BatchMatchRunner(voters=[])
         with pytest.raises(ValueError):
             BatchMatchRunner(fill_value=1.5)
-        with pytest.raises(ValueError):
-            BatchMatchRunner(executor="gpu")
+        with pytest.raises(ValueError, match="workers"):
+            BatchMatchRunner().match_all_pairs({}, workers=0)
+        with pytest.raises(ValueError, match="workers"):
+            BatchMatchRunner().match_corpus(Schema("S"), {}, workers=0)

@@ -421,15 +421,29 @@ class TestPipelineIntegration:
             "T1": small_pair.target.schema,
             "T2": small_pair.source.schema,
         }
-        options = MatchOptions(cascade=CascadePlan(band=0.4, budget=5))
+        # Batch routing: auto would route this small sweep to the exact
+        # engine, where no pool runs.
+        options = MatchOptions(
+            execution="batch", cascade=CascadePlan(band=0.4, budget=5)
+        )
         responses = service.match_corpus(
             small_pair.source.schema,
             corpus,
             options=options,
-            executor="process",
-            max_workers=2,
+            workers=2,
         )
         assert len(responses) == 2
+        assert all(response.route == "batch" for response in responses)
         for response in responses:
             assert response.cascade is not None
             assert response.cascade.n_escalated <= 5
+        # The workers' oracle spend reaches the service's counters.
+        reports = [response.cascade for response in responses]
+        status = service.cascade_status()
+        assert status["requests"] == len(reports)
+        assert status["ambiguous"] == sum(r.n_ambiguous for r in reports)
+        assert status["escalated"] == sum(r.n_escalated for r in reports)
+        assert status["oracle_calls"] == sum(r.oracle_calls for r in reports) > 0
+        assert status["oracle_cache_hits"] == sum(
+            r.oracle_cache_hits for r in reports
+        )

@@ -36,6 +36,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "batch total: 1 match operations" in out
 
+    def test_batch_zero_workers_exits_2(self, schema_files):
+        sql, xsd = schema_files
+        with pytest.raises(SystemExit) as caught:
+            main(["batch", sql, xsd, "--workers", "0"])
+        assert caught.value.code == 2
+
     def test_batch_needs_targets(self, schema_files):
         sql, _ = schema_files
         with pytest.raises(SystemExit):

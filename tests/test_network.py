@@ -368,6 +368,29 @@ class TestNetworkMatchService:
         boosted = [c for c in response.correspondences if "reuse-boosted" in c.note]
         assert len(boosted) == response.n_boosted
 
+    def test_verify_reuses_the_pair_route_runner(self):
+        chain = generate_mapping_chain(n_schemata=3, seed=7)
+        repository = MetadataRepository()
+        for generated in chain.schemata:
+            repository.register(generated.schema)
+        service = MatchService(repository=repository)
+        options = MatchOptions(execution="batch")
+        for i in range(2):
+            service.persist(
+                service.match_pair(chain.names[i], chain.names[i + 1], options=options)
+            )
+        response = service.network_match(
+            NetworkMatchRequest(
+                source=chain.names[0],
+                target=chain.names[2],
+                max_hops=1,
+                options=options,
+                verify=True,
+            )
+        )
+        assert response.verified
+        assert list(service._runners) == [(options, True)]
+
     def test_warm_graph_is_shared_across_calls(self, chain_repository):
         service = MatchService(repository=chain_repository)
         request = NetworkMatchRequest(source="a", target="c", max_hops=1)

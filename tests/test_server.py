@@ -80,10 +80,19 @@ class TestRequestWire:
             retrieval_limit=7,
             exclude=("X",),
             reuse=ReusePolicy(boost=0.5, trust=TrustPolicy(min_confidence=0.2)),
-            executor="thread",
-            max_workers=2,
         )
         assert CorpusMatchRequest.from_dict(request.to_dict()) == request
+
+    def test_corpus_request_ignores_legacy_fan_out_keys(self):
+        payload = {"source": "A", "top_k": 3}
+        legacy = dict(payload, executor="process", max_workers=64)
+        rebuilt = CorpusMatchRequest.from_dict(legacy)
+        assert rebuilt == CorpusMatchRequest.from_dict(payload)
+        assert canonical_request_key(
+            "/corpus-match", rebuilt.to_dict()
+        ) == canonical_request_key(
+            "/corpus-match", CorpusMatchRequest.from_dict(payload).to_dict()
+        )
 
     def test_corpus_request_reuse_none_survives(self):
         request = CorpusMatchRequest(source="A", reuse=None)
@@ -223,6 +232,20 @@ class TestMatchServer:
         for ours, theirs in zip(over_wire.correspondences, direct.correspondences):
             assert ours.pair == theirs.pair
             assert abs(ours.score - theirs.score) <= SCORE_TOLERANCE
+
+    def test_legacy_fan_out_keys_share_one_runner_and_cache_entry(self, served):
+        _, client, service = served
+        payload = {"source": "D0S0", "top_k": 2}
+        first = client.post_json(
+            "/corpus-match", dict(payload, executor="serial", max_workers=3)
+        )
+        assert client.last_cache_status == "miss"
+        second = client.post_json(
+            "/corpus-match", dict(payload, executor="thread", max_workers=5)
+        )
+        assert client.last_cache_status == "hit"
+        assert second == first
+        assert list(service._runners) == [(MatchOptions(), False)]
 
     def test_inline_requests_leave_the_shared_caches_flat(
         self, served, corpus_schemata

@@ -297,12 +297,13 @@ class TestIngest:
         assert refresh.n_derived == 5  # derivation happened at refresh time
 
     def test_thread_executor_and_validation(self, corpus):
+        # A two-process fan-out, and the rejection of a width below one.
         repo = MetadataRepository()
         schemas = [corpus.by_name(name).schema for name in corpus.names[:5]]
-        report = bulk_ingest(repo, schemas, executor="thread", max_workers=2)
+        report = bulk_ingest(repo, schemas, workers=2)
         assert report.n_written == 5
-        with pytest.raises(ValueError, match="executor"):
-            bulk_ingest(repo, schemas, executor="rocket")
+        with pytest.raises(ValueError, match="workers"):
+            bulk_ingest(repo, schemas, workers=0)
 
 
 #: Stored payloads no refresh can fingerprint: wrong/missing format
@@ -382,10 +383,13 @@ class TestIngestPoisonPill:
     is stored, no malformed one is, and each is reported by source."""
 
     @pytest.mark.parametrize("seed", [1, 2])
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize(
+        "workers", [pytest.param(1, id="serial"), pytest.param(2, id="process")]
+    )
     @pytest.mark.parametrize("fingerprint", [True, False])
-    def test_fuzzed_jsonl(self, corpus, tmp_path, fingerprint, executor, seed):
-        rng = random.Random(f"{seed}:{executor}:{fingerprint}")
+    def test_fuzzed_jsonl(self, corpus, tmp_path, fingerprint, workers, seed):
+        case_id = "serial" if workers == 1 else "process"
+        rng = random.Random(f"{seed}:{case_id}:{fingerprint}")  # inputs per case
         valid = rng.sample(corpus.names, 12)
         lines = [json.dumps(schema_to_dict(corpus.by_name(n).schema)) for n in valid]
         for bad in _MALFORMED_LINES:
@@ -402,8 +406,7 @@ class TestIngestPoisonPill:
         report = bulk_ingest(
             repo,
             iter_schema_payloads(jsonl),
-            executor=executor,
-            max_workers=2,
+            workers=workers,
             fingerprint=fingerprint,
         )
         assert report.n_read == len(lines)
