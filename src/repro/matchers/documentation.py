@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.matchers.base import MatchVoter, take
-from repro.matchers.profile import gather_pairs
+from repro.matchers.profile import densify, gather_pairs
 
 __all__ = ["DocumentationVoter", "DescribingTextVoter"]
 
@@ -40,9 +40,9 @@ class _TfidfVoter(MatchVoter):
     def grid_ratios(
         self, source, target, space, source_positions=None, target_positions=None
     ):
-        cosine = space.tfidf_product(
-            source, target, self.kind, source_positions, target_positions
-        ).toarray()
+        cosine = densify(
+            space.tfidf_product(source, target, self.kind, source_positions, target_positions)
+        )
         evidence = np.minimum.outer(
             take(self._lengths(space, source), source_positions),
             take(self._lengths(space, target), target_positions),

@@ -18,10 +18,16 @@ For corpus-scale batch matching (see :mod:`repro.batch` and
 interns every token into a shared vocabulary and caches **per-schema sparse
 feature matrices** (token-set incidences and TF-IDF count matrices).  With
 those in place, one schema-vs-schema voter run reduces to a handful of
-sparse products -- no per-match re-tokenization, vocabulary building, or
+products -- no per-match re-tokenization, vocabulary building, or
 synonym canonicalisation -- which is what the voters' grid and pair
 kernels (:meth:`~repro.matchers.base.MatchVoter.grid_ratios`,
-:meth:`~repro.matchers.base.MatchVoter.fast_ratios`) are built on.
+:meth:`~repro.matchers.base.MatchVoter.fast_ratios`) are built on.  An
+unrestricted grid is one scipy sparse product.  A restricted grid (an
+increment) goes through the *postings kernel* instead: each feature
+keeps its transpose (per token, the rows holding it), and one
+``np.bincount`` over the restricted rows' entries expanded through the
+target's postings yields the dense grid, bit-identical to the sliced
+sparse product without scipy's per-call overhead.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -218,6 +224,17 @@ class TokenInterner:
         return rows, np.asarray(ids, dtype=np.int64)
 
 
+class _Postings(NamedTuple):
+    """A feature transposed: token ``t``'s rows, ascending, with their
+    values, at ``rows[ptr[t]:ptr[t + 1]]`` and ``values[...]``;
+    ``tokens`` holds each posting's token id."""
+
+    ptr: np.ndarray
+    tokens: np.ndarray
+    rows: np.ndarray
+    values: np.ndarray
+
+
 @dataclass
 class _Feature:
     """Raw CSR arrays of one per-schema feature matrix (width-agnostic)."""
@@ -226,7 +243,13 @@ class _Feature:
     indices: np.ndarray
     data: np.ndarray
     interner: TokenInterner
+    #: Number of stored entries per row (set sizes for set features).
+    row_sizes: np.ndarray = field(init=False, repr=False)
     _materialised: sparse.csr_matrix | None = field(default=None, repr=False)
+    _postings: _Postings | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        self.row_sizes = np.diff(self.indptr).astype(float)
 
     def matrix(self) -> sparse.csr_matrix:
         """Materialise at the interner's *current* width.
@@ -246,10 +269,12 @@ class _Feature:
             self._materialised = cached
         return cached
 
-    @property
-    def row_sizes(self) -> np.ndarray:
-        """Number of stored entries per row (set sizes for set features)."""
-        return np.diff(self.indptr).astype(float)
+    def postings(self) -> _Postings:
+        """The feature's postings, built on first request and kept: the
+        arrays never change, so neither does their transpose."""
+        if self._postings is None:
+            self._postings = _postings(*_entries(self, None))
+        return self._postings
 
 
 def _rows_feature(
@@ -292,6 +317,85 @@ def _path_documents(profile: SchemaProfile) -> list[list[str]]:
             cursor = int(profile.parent_index[cursor])
         documents.append(terms)
     return documents
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i] : starts[i] + lengths[i]``, concatenated."""
+    first = np.cumsum(lengths) - lengths
+    return np.repeat(starts - first, lengths) + np.arange(int(lengths.sum()))
+
+
+def _entries(
+    feature: _Feature, positions: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, token id and value of every stored entry of ``feature``'s rows
+    at ``positions`` (all rows for None), in CSR order: row by row, tokens
+    ascending within a row.  Rows are numbered by their place in
+    ``positions``, so a repeated position repeats its row."""
+    if positions is None:
+        rows = np.repeat(np.arange(len(feature.row_sizes)), np.diff(feature.indptr))
+        return rows, feature.indices, feature.data
+    starts = feature.indptr[positions]
+    lengths = feature.indptr[positions + 1] - starts
+    entries = _ranges(starts, lengths)
+    rows = np.repeat(np.arange(len(positions)), lengths)
+    return rows, feature.indices[entries], feature.data[entries]
+
+
+def _postings(rows: np.ndarray, tokens: np.ndarray, values: np.ndarray) -> _Postings:
+    """Entries regrouped by token; the stable sort keeps each token's rows,
+    and each row's tokens, in ascending order."""
+    order = np.argsort(tokens, kind="stable")
+    n_tokens = int(tokens.max()) + 1 if tokens.size else 0
+    ptr = np.zeros(n_tokens + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tokens, minlength=n_tokens), out=ptr[1:])
+    return _Postings(ptr, tokens[order], rows[order], values[order])
+
+
+def _postings_product(
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray],
+    n_rows: int,
+    postings: _Postings,
+    n_cols: int,
+) -> np.ndarray:
+    """The dense ``(n_rows, n_cols)`` product of source ``entries`` with a
+    target side's ``postings``.
+
+    Each source entry meets the postings of its token; one bincount adds
+    every cell's terms in the order of its row's tokens, the order scipy's
+    ``csr_matmat`` adds them, so the grid equals the sparse product's
+    bit for bit.  A source token past the postings (the target's feature
+    was built before the vocabulary grew) meets no row.
+    """
+    rows, tokens, values = entries
+    ptr = postings.ptr
+    known = tokens < len(ptr) - 1
+    if not known.all():
+        rows, tokens, values = rows[known], tokens[known], values[known]
+    starts = ptr[tokens]
+    lengths = ptr[tokens + 1] - starts
+    matches = _ranges(starts, lengths)
+    cells = np.repeat(rows * n_cols, lengths) + postings.rows[matches]
+    weights = np.repeat(values, lengths) * postings.values[matches]
+    grid = np.bincount(cells, weights=weights, minlength=n_rows * n_cols)
+    # Without a single term bincount answers in integers.
+    return grid.astype(np.float64, copy=False).reshape(n_rows, n_cols)
+
+
+def _idf(df: np.ndarray, n_documents: int) -> np.ndarray:
+    """Smoothed IDF, as :func:`repro.text.tfidf.tfidf_similarity_matrix` fits it."""
+    return np.log((1.0 + n_documents) / (1.0 + df)) + 1.0
+
+
+def _unit_tfidf(
+    rows: np.ndarray, tokens: np.ndarray, counts: np.ndarray, idf: np.ndarray, n_rows: int
+) -> np.ndarray:
+    """Row-wise L2-normalised ``count * idf`` of stored entries; each row's
+    norm sums its entries in the order given."""
+    weights = counts * idf[tokens]
+    norms = np.sqrt(np.bincount(rows, weights=weights * weights, minlength=n_rows))
+    norms[norms == 0.0] = 1.0
+    return weights * (1.0 / norms)[rows]
 
 
 #: Grids up to this many cells gather fastest through a dense scratch
@@ -361,8 +465,9 @@ class FeatureSpace:
     products require both sides materialised at one vocabulary width.
     The pattern throughout (and for external callers touching raw
     features, like the blocking stage) is *snapshot under the lock,
-    compute outside it*: materialised matrices are immutable, so the
-    lock serialises feature derivation, never the matching math.
+    compute outside it*: materialised matrices and postings are
+    immutable, so the lock serialises feature derivation, never the
+    matching math.
     """
 
     _SET_KINDS = ("name", "gram", "path", "doc_sets")
@@ -485,11 +590,8 @@ class FeatureSpace:
         target: SchemaProfile,
         kind: str,
         lexicon: SynonymLexicon | None = None,
-        source_positions: np.ndarray | None = None,
-        target_positions: np.ndarray | None = None,
     ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-        """Both sides' feature matrices at one vocabulary width, restricted
-        to the given rows (all rows for None).
+        """Both sides' feature matrices at one vocabulary width.
 
         Builds BOTH features before materialising either (building the
         second side may grow the vocabulary), all under the lock; the
@@ -499,13 +601,34 @@ class FeatureSpace:
         with self.lock:
             source_feature = self.feature(source, kind, lexicon)
             target_feature = self.feature(target, kind, lexicon)
-            source_matrix = source_feature.matrix()
-            target_matrix = target_feature.matrix()
-        if source_positions is not None:
-            source_matrix = source_matrix[source_positions]
+            return source_feature.matrix(), target_feature.matrix()
+
+    def _restricted(
+        self,
+        source: SchemaProfile,
+        target: SchemaProfile,
+        kind: str,
+        lexicon: SynonymLexicon | None,
+        source_positions: np.ndarray | None,
+        target_positions: np.ndarray | None,
+    ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], int, _Postings, int]:
+        """A restricted grid's operands: the source rows' entries, their
+        count, the target columns' postings and their count.
+
+        An unrestricted target's postings are its feature's cached ones,
+        built under the lock as :meth:`_matrices` builds matrices; a
+        restricted target's are regrouped from its rows per call.
+        """
+        with self.lock:
+            source_feature = self.feature(source, kind, lexicon)
+            target_feature = self.feature(target, kind, lexicon)
+            if target_positions is None:
+                postings = target_feature.postings()
         if target_positions is not None:
-            target_matrix = target_matrix[target_positions]
-        return source_matrix, target_matrix
+            postings = _postings(*_entries(target_feature, target_positions))
+        n_rows = len(source) if source_positions is None else len(source_positions)
+        n_cols = len(target) if target_positions is None else len(target_positions)
+        return _entries(source_feature, source_positions), n_rows, postings, n_cols
 
     def set_product(
         self,
@@ -516,22 +639,25 @@ class FeatureSpace:
         source_positions: np.ndarray | None = None,
         target_positions: np.ndarray | None = None,
     ) -> sparse.csr_matrix | np.ndarray:
-        """Pairwise intersection counts of a set feature, as a sparse product
-        (a dense one while :meth:`stacked` serves it).
+        """Pairwise intersection counts of a set feature.
 
-        Rows and columns are sliced *before* the product, so a restricted
-        grid costs in proportion to its own size.  :func:`densify` it for a
-        grid, or :func:`gather_pairs` it at candidate pairs.
+        A restricted grid (either side's positions given) is a dense
+        array from the postings kernel, at a cost in proportion to its
+        own rows and their postings; an unrestricted one is one scipy
+        product (a dense one while :meth:`stacked` serves it), which
+        stays sparse for large grids.  :func:`densify` it for a grid, or
+        :func:`gather_pairs` it at candidate pairs.
         """
-        if source_positions is None and target_positions is None:
-            served = self._products.get(
-                (id(source), id(target), self._key(kind, lexicon))
+        if source_positions is not None or target_positions is not None:
+            return _postings_product(
+                *self._restricted(
+                    source, target, kind, lexicon, source_positions, target_positions
+                )
             )
-            if served is not None:
-                return served
-        source_matrix, target_matrix = self._matrices(
-            source, target, kind, lexicon, source_positions, target_positions
-        )
+        served = self._products.get((id(source), id(target), self._key(kind, lexicon)))
+        if served is not None:
+            return served
+        source_matrix, target_matrix = self._matrices(source, target, kind, lexicon)
         return source_matrix @ target_matrix.T
 
     @contextmanager
@@ -644,38 +770,50 @@ class FeatureSpace:
         kind: str,
         source_positions: np.ndarray | None = None,
         target_positions: np.ndarray | None = None,
-    ) -> sparse.csr_matrix:
-        """TF-IDF cosines of a bag feature as a sparse product, IDF fit over
-        the (restricted) rows and columns only.
+    ) -> sparse.csr_matrix | np.ndarray:
+        """TF-IDF cosines of a bag feature, IDF fit over the (restricted)
+        rows and columns only: a dense array from the postings kernel for
+        a restricted grid, one sparse scipy product for the full one.
 
         Reproduces :func:`repro.text.tfidf.tfidf_similarity_matrix` over
         those documents (same smoothed-IDF formula, same L2 normalisation)
         from the cached count matrices: global-vocabulary columns absent
         from them have zero counts on both sides and cannot contribute.
         Bag rows store one entry per distinct token, so a bincount of the
-        column indices is each token's document frequency.
+        token ids is each token's document frequency.
         """
-        source_counts, target_counts = self._matrices(
-            source, target, kind, None, source_positions, target_positions
-        )
+        if source_positions is not None or target_positions is not None:
+            entries, n_rows, postings, n_cols = self._restricted(
+                source, target, kind, None, source_positions, target_positions
+            )
+            rows, tokens, counts = entries
+            n_postings = len(postings.ptr) - 1
+            n_tokens = max(n_postings, int(tokens.max()) + 1 if tokens.size else 0)
+            df = np.bincount(tokens, minlength=n_tokens)
+            df[:n_postings] += np.diff(postings.ptr)
+            idf = _idf(df, n_rows + n_cols)
+            unit = _unit_tfidf(postings.rows, postings.tokens, postings.values, idf, n_cols)
+            return _postings_product(
+                (rows, tokens, _unit_tfidf(rows, tokens, counts, idf, n_rows)),
+                n_rows,
+                postings._replace(values=unit),
+                n_cols,
+            )
+        source_counts, target_counts = self._matrices(source, target, kind)
         width = source_counts.shape[1]
         df = np.bincount(source_counts.indices, minlength=width) + np.bincount(
             target_counts.indices, minlength=width
         )
-        n_documents = source_counts.shape[0] + target_counts.shape[0]
-        idf = np.log((1.0 + n_documents) / (1.0 + df)) + 1.0
+        idf = _idf(df, source_counts.shape[0] + target_counts.shape[0])
 
         def weighted(counts: sparse.csr_matrix) -> sparse.csr_matrix:
-            # Row-wise L2-normalised count * idf, on the stored entries only.
-            n_rows = counts.shape[0]
-            rows = np.repeat(np.arange(n_rows), np.diff(counts.indptr))
-            weights = counts.data * idf[counts.indices]
-            norms = np.sqrt(
-                np.bincount(rows, weights=weights * weights, minlength=n_rows)
-            )
-            norms[norms == 0.0] = 1.0
+            rows = np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
             return sparse.csr_matrix(
-                (weights * (1.0 / norms)[rows], counts.indices, counts.indptr),
+                (
+                    _unit_tfidf(rows, counts.indices, counts.data, idf, counts.shape[0]),
+                    counts.indices,
+                    counts.indptr,
+                ),
                 shape=counts.shape,
             )
 

@@ -52,6 +52,30 @@ def _validate_stack(stacked: np.ndarray) -> None:
         raise ValueError("cannot merge zero voters")
 
 
+def _weighted_sum(
+    weights: np.ndarray, stacked: np.ndarray, signed_square: bool = False
+) -> np.ndarray:
+    """``sum_i weights[i] * vote_i``, each vote squared keeping its sign
+    when ``signed_square``.
+
+    Adds the voters one at a time, in order, with elementwise ops, so
+    every cell takes the same operations whatever the stack's shape: a
+    pair scored alone, in a candidate list or in a grid gets one value,
+    bit for bit (a BLAS reduction's rounding depends on the shape).
+    """
+    merged = np.zeros(stacked.shape[1:])
+    term = np.empty_like(merged)
+    for weight, votes in zip(weights, stacked):
+        if signed_square:
+            np.abs(votes, out=term)
+            term *= votes
+            term *= weight
+        else:
+            np.multiply(votes, weight, out=term)
+        merged += term
+    return merged
+
+
 class ConvictionWeightedMerger:
     """Harmony's merger: each vote weighted by its own conviction |c|.
 
@@ -135,9 +159,8 @@ class ConvictionLinearMerger:
                     f"{stacked.shape[0]} voters"
                 )
             weights = self.voter_weights
-        signed_square = stacked * np.abs(stacked)
-        merged = np.tensordot(weights / weights.sum(), signed_square, axes=(0, 0))
-        return np.clip(merged, -1.0, 1.0)
+        merged = _weighted_sum(weights / weights.sum(), stacked, signed_square=True)
+        return np.clip(merged, -1.0, 1.0, out=merged)
 
 
 class AverageMerger:
@@ -175,8 +198,8 @@ class WeightedLinearMerger:
             raise ValueError(
                 f"{self._weights.size} weights for {stacked.shape[0]} voters"
             )
-        merged = np.tensordot(self._weights, stacked, axes=(0, 0))
-        return np.clip(merged, -1.0, 1.0)
+        merged = _weighted_sum(self._weights, stacked)
+        return np.clip(merged, -1.0, 1.0, out=merged)
 
 
 class MaxMerger:

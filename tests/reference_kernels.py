@@ -10,11 +10,19 @@ cached-feature kernels are tested against these to 1e-9.
 per-pair loop of :func:`repro.summarize.concept_match_matrix`, which now
 scores every concept pair through one
 :func:`~repro.matchers.structure.mean_best_match` call.
+
+:func:`sliced_set_product` and :func:`sliced_tfidf_product` are the
+restricted-product referees: the scipy bodies
+:meth:`~repro.matchers.FeatureSpace.set_product` and
+:meth:`~repro.matchers.FeatureSpace.tfidf_product` ran on a restricted
+grid before the postings kernel (rows sliced from both sides' cached
+matrices, then one sparse product).  The kernel must equal them exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from repro.matchers.setsim import dice_matrix, jaccard_matrix
 from repro.schema.datatypes import DataType, family_table
@@ -276,3 +284,62 @@ def concept_match_matrix(source_summary, target_summary, result):
             backward = block.max(axis=0).mean()
             scores[row, col] = 0.5 * (forward + backward)
     return source_concepts, target_concepts, scores
+
+
+# ----------------------------------------------------------------------
+# Restricted-product referees (sliced scipy products)
+# ----------------------------------------------------------------------
+def _sliced_matrices(
+    space, source, target, kind, lexicon=None, source_positions=None, target_positions=None
+):
+    with space.lock:
+        source_feature = space.feature(source, kind, lexicon)
+        target_feature = space.feature(target, kind, lexicon)
+        source_matrix = source_feature.matrix()
+        target_matrix = target_feature.matrix()
+    if source_positions is not None:
+        source_matrix = source_matrix[source_positions]
+    if target_positions is not None:
+        target_matrix = target_matrix[target_positions]
+    return source_matrix, target_matrix
+
+
+def sliced_set_product(
+    space, source, target, kind, lexicon=None, source_positions=None, target_positions=None
+):
+    """Intersection counts of a set feature over the sliced rows."""
+    source_matrix, target_matrix = _sliced_matrices(
+        space, source, target, kind, lexicon, source_positions, target_positions
+    )
+    return source_matrix @ target_matrix.T
+
+
+def sliced_tfidf_product(
+    space, source, target, kind, source_positions=None, target_positions=None
+):
+    """TF-IDF cosines of a bag feature, IDF fit over the sliced rows."""
+    source_counts, target_counts = _sliced_matrices(
+        space, source, target, kind, None, source_positions, target_positions
+    )
+    width = source_counts.shape[1]
+    df = np.bincount(source_counts.indices, minlength=width) + np.bincount(
+        target_counts.indices, minlength=width
+    )
+    n_documents = source_counts.shape[0] + target_counts.shape[0]
+    idf = np.log((1.0 + n_documents) / (1.0 + df)) + 1.0
+
+    def weighted(counts):
+        # Row-wise L2-normalised count * idf, on the stored entries only.
+        n_rows = counts.shape[0]
+        rows = np.repeat(np.arange(n_rows), np.diff(counts.indptr))
+        weights = counts.data * idf[counts.indices]
+        norms = np.sqrt(
+            np.bincount(rows, weights=weights * weights, minlength=n_rows)
+        )
+        norms[norms == 0.0] = 1.0
+        return sparse.csr_matrix(
+            (weights * (1.0 / norms)[rows], counts.indices, counts.indptr),
+            shape=counts.shape,
+        )
+
+    return weighted(source_counts) @ weighted(target_counts).T

@@ -9,7 +9,14 @@ children/parents and documentation's grid-fit IDF are exercised -- plus
 a target-side restriction, single rows, elements with no documentation,
 a container that keeps none of its children, and sides without a
 container.
+
+The restricted set and TF-IDF products themselves (the postings kernel)
+must equal the sliced scipy products they replaced exactly, including on
+duplicated and empty restrictions.
 """
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,7 +33,11 @@ from repro.matchers import (
 )
 from repro.matchers.profile import densify
 from repro.synthetic import PairSpec, generate_clustered_corpus, generate_pair
-from tests.reference_kernels import REFERENCE_KERNELS
+from tests.reference_kernels import (
+    REFERENCE_KERNELS,
+    sliced_set_product,
+    sliced_tfidf_product,
+)
 
 TOLERANCE = 1e-9
 
@@ -286,3 +297,155 @@ def test_structure_layout_of_every_position_is_the_profiles_own(profiles, side):
     as_is = voter.grid_ratios(source, target, space)
     for new, old in zip(remapped, as_is):
         assert np.array_equal(new, old)
+
+
+# ----------------------------------------------------------------------
+# The postings kernel against the sliced scipy products
+# ----------------------------------------------------------------------
+SET_KINDS = ("name", "gram", "path", "doc_sets", "canonical")
+BAG_KINDS = ("doc", "text")
+
+
+def product_restrictions(source, target):
+    """(source_positions, target_positions) cases for the product referees:
+    unsorted random rows on either or both sides, duplicated positions
+    (``positions_of`` does not dedupe), empty restrictions and single
+    rows."""
+    rng = np.random.default_rng(5)
+    empty = np.array([], dtype=int)
+    return [
+        (rng.choice(len(source), size=30, replace=False), None),
+        (None, rng.choice(len(target), size=30, replace=False)),
+        (
+            rng.choice(len(source), size=20, replace=False),
+            rng.choice(len(target), size=25, replace=False),
+        ),
+        (np.array([4, 4, 9, 1, 4]), None),
+        (None, np.array([7, 2, 7])),
+        (np.array([3, 3]), np.array([5, 5, 0])),
+        (empty, None),
+        (None, empty),
+        (empty, empty),
+        (np.array([0]), None),
+        (None, np.array([len(target) - 1])),
+        (np.array([2]), np.array([6])),
+    ]
+
+
+def restricted_products(space, source, target, source_positions, target_positions):
+    """(kind, kernel product, referee product) for every set and bag kind."""
+    grid = (source_positions, target_positions)
+    for kind in SET_KINDS:
+        yield (
+            kind,
+            space.set_product(source, target, kind, None, *grid),
+            sliced_set_product(space, source, target, kind, None, *grid),
+        )
+    for kind in BAG_KINDS:
+        yield (
+            kind,
+            space.tfidf_product(source, target, kind, *grid),
+            sliced_tfidf_product(space, source, target, kind, *grid),
+        )
+
+
+def assert_products_equal(space, source, target, source_positions, target_positions):
+    for kind, product, reference in restricted_products(
+        space, source, target, source_positions, target_positions
+    ):
+        expected = reference.toarray()
+        context = (kind, source_positions, target_positions)
+        assert isinstance(product, np.ndarray), context
+        assert product.dtype == expected.dtype and product.shape == expected.shape, context
+        assert np.array_equal(product, expected), context
+
+
+def test_postings_kernel_equals_the_sliced_scipy_products(profiles):
+    source, target = profiles
+    space = FeatureSpace()
+    for source_positions, target_positions in product_restrictions(source, target):
+        assert_products_equal(space, source, target, source_positions, target_positions)
+
+
+def test_postings_of_a_target_built_before_the_vocabulary_grew(profiles):
+    # The target's postings are built first; the source then interns
+    # tokens past them, which must meet no target row.
+    source, target = profiles
+    space = FeatureSpace()
+    for kind in SET_KINDS + BAG_KINDS:
+        space.feature(target, kind).postings()
+    for kind in SET_KINDS + BAG_KINDS:
+        n_postings = len(space.feature(target, kind).postings().ptr) - 1
+        assert space.feature(source, kind).indices.max() >= n_postings, kind
+    for source_positions, target_positions in [
+        (np.arange(0, len(source), 3), None),
+        (np.arange(len(source)), np.array([1, 1, 4])),
+    ]:
+        assert_products_equal(space, source, target, source_positions, target_positions)
+
+
+def test_unrestricted_products_stay_one_sparse_product(profiles):
+    source, target = profiles
+    space = FeatureSpace()
+    for kind, product, reference in restricted_products(space, source, target, None, None):
+        assert not isinstance(product, np.ndarray), kind
+        assert np.array_equal(product.toarray(), reference.toarray()), kind
+
+
+def test_release_drops_the_profiles_features_and_postings(profiles):
+    source, target = profiles
+    space = FeatureSpace()
+    engine = HarmonyMatchEngine(voters=fast_path_voters(), space=space)
+    ids = [source.element_ids[p] for p in range(0, len(source), 5)]
+    engine.match(source.schema, target.schema, source_element_ids=ids)
+    target_profile = space.profiles[id(target.schema)]
+    features = [f for (key, _), f in space._features.items() if key == id(target_profile)]
+    assert any(feature._postings is not None for feature in features)
+    space.release(target.schema)
+    assert id(target.schema) not in space.profiles
+    assert all(key != id(target_profile) for key, _ in space._features)
+
+
+def test_threaded_restricted_votes_equal_serial_ones(profiles):
+    """Four threads voting restricted grids on one shared space, whose
+    postings they build lazily, give the serial answers bit for bit
+    (both spaces intern the same tokens in the same order up front)."""
+    source, target = profiles
+    voters = fast_path_voters()
+    rng = np.random.default_rng(13)
+    grids = [
+        (
+            np.sort(rng.choice(len(source), size=12, replace=False)),
+            None if i % 2 else np.sort(rng.choice(len(target), size=40, replace=False)),
+        )
+        for i in range(12)
+    ]
+
+    def warmed_space():
+        space = FeatureSpace()
+        for voter in voters:
+            voter.warm(source, space)
+            voter.warm(target, space)
+        return space
+
+    def votes(space, grid):
+        opinions = [voter.vote(source, target, *grid, space=space) for voter in voters]
+        return [(o.similarity, o.confidence) for o in opinions]
+
+    serial_space = warmed_space()
+    serial = [votes(serial_space, grid) for grid in grids]
+    shared = warmed_space()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(votes, shared, grid) for grid in grids * 3]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for threaded, expected in zip(results, serial * 3):
+        for (similarity, confidence), (serial_similarity, serial_confidence) in zip(
+            threaded, expected
+        ):
+            assert np.array_equal(similarity, serial_similarity)
+            assert np.array_equal(confidence, serial_confidence)

@@ -126,6 +126,12 @@ class TestEngine:
             assert merged["confidence"] == pytest.approx(
                 matrix.score(source_id, target_id), abs=1e-9
             ), (source_id, target_id)
+            # The merger adds voters cell by cell in one fixed order, so a
+            # 1x1 merge equals the grid's entry bit for bit.
+            assert merged["confidence"] == matrix.score(source_id, target_id), (
+                source_id,
+                target_id,
+            )
 
     def test_explain_reuses_the_engine_feature_space(
         self, sample_relational, sample_xml, monkeypatch
