@@ -24,10 +24,10 @@ kernels (:meth:`~repro.matchers.base.MatchVoter.grid_ratios`,
 :meth:`~repro.matchers.base.MatchVoter.fast_ratios`) are built on.  An
 unrestricted grid is one scipy sparse product.  A restricted grid (an
 increment) goes through the *postings kernel* instead: each feature
-keeps its transpose (per token, the rows holding it), and one
-``np.bincount`` over the restricted rows' entries expanded through the
-target's postings yields the dense grid, bit-identical to the sliced
-sparse product without scipy's per-call overhead.
+keeps its transpose (per distinct token it holds, the rows holding it),
+and one ``np.bincount`` over the restricted rows' entries expanded
+through the target's postings yields the dense grid, bit-identical to
+the sliced sparse product without scipy's per-call overhead.
 """
 
 from __future__ import annotations
@@ -225,10 +225,12 @@ class TokenInterner:
 
 
 class _Postings(NamedTuple):
-    """A feature transposed: token ``t``'s rows, ascending, with their
-    values, at ``rows[ptr[t]:ptr[t + 1]]`` and ``values[...]``;
-    ``tokens`` holds each posting's token id."""
+    """A feature transposed over its own distinct tokens: ``vocab[i]``'s
+    rows, ascending, with their values, at ``rows[ptr[i]:ptr[i + 1]]`` and
+    ``values[...]``; ``tokens`` holds each posting's token id.  Every array
+    is sized by the feature's entries, never by the shared vocabulary."""
 
+    vocab: np.ndarray
     ptr: np.ndarray
     tokens: np.ndarray
     rows: np.ndarray
@@ -346,10 +348,10 @@ def _postings(rows: np.ndarray, tokens: np.ndarray, values: np.ndarray) -> _Post
     """Entries regrouped by token; the stable sort keeps each token's rows,
     and each row's tokens, in ascending order."""
     order = np.argsort(tokens, kind="stable")
-    n_tokens = int(tokens.max()) + 1 if tokens.size else 0
-    ptr = np.zeros(n_tokens + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tokens, minlength=n_tokens), out=ptr[1:])
-    return _Postings(ptr, tokens[order], rows[order], values[order])
+    tokens = tokens[order]
+    starts = np.flatnonzero(np.diff(tokens, prepend=-1))
+    ptr = np.append(starts, len(tokens))
+    return _Postings(tokens[starts], ptr, tokens, rows[order], values[order])
 
 
 def _postings_product(
@@ -364,16 +366,18 @@ def _postings_product(
     Each source entry meets the postings of its token; one bincount adds
     every cell's terms in the order of its row's tokens, the order scipy's
     ``csr_matmat`` adds them, so the grid equals the sparse product's
-    bit for bit.  A source token past the postings (the target's feature
-    was built before the vocabulary grew) meets no row.
+    bit for bit.  A source token the target side lacks (among them any
+    interned after the target's feature was built) meets no row.
     """
     rows, tokens, values = entries
-    ptr = postings.ptr
-    known = tokens < len(ptr) - 1
+    vocab, ptr = postings.vocab, postings.ptr
+    slots = np.searchsorted(vocab, tokens)
+    known = slots < len(vocab)
+    known[known] = vocab[slots[known]] == tokens[known]
     if not known.all():
-        rows, tokens, values = rows[known], tokens[known], values[known]
-    starts = ptr[tokens]
-    lengths = ptr[tokens + 1] - starts
+        rows, slots, values = rows[known], slots[known], values[known]
+    starts = ptr[slots]
+    lengths = ptr[slots + 1] - starts
     matches = _ranges(starts, lengths)
     cells = np.repeat(rows * n_cols, lengths) + postings.rows[matches]
     weights = np.repeat(values, lengths) * postings.values[matches]
@@ -787,11 +791,7 @@ class FeatureSpace:
                 source, target, kind, None, source_positions, target_positions
             )
             rows, tokens, counts = entries
-            n_postings = len(postings.ptr) - 1
-            n_tokens = max(n_postings, int(tokens.max()) + 1 if tokens.size else 0)
-            df = np.bincount(tokens, minlength=n_tokens)
-            df[:n_postings] += np.diff(postings.ptr)
-            idf = _idf(df, n_rows + n_cols)
+            idf = _idf(np.bincount(np.concatenate((tokens, postings.tokens))), n_rows + n_cols)
             unit = _unit_tfidf(postings.rows, postings.tokens, postings.values, idf, n_cols)
             return _postings_product(
                 (rows, tokens, _unit_tfidf(rows, tokens, counts, idf, n_rows)),

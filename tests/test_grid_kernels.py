@@ -375,13 +375,31 @@ def test_postings_of_a_target_built_before_the_vocabulary_grew(profiles):
     for kind in SET_KINDS + BAG_KINDS:
         space.feature(target, kind).postings()
     for kind in SET_KINDS + BAG_KINDS:
-        n_postings = len(space.feature(target, kind).postings().ptr) - 1
-        assert space.feature(source, kind).indices.max() >= n_postings, kind
+        last = space.feature(target, kind).postings().vocab.max()
+        assert space.feature(source, kind).indices.max() > last, kind
     for source_positions, target_positions in [
         (np.arange(0, len(source), 3), None),
         (np.arange(len(source)), np.array([1, 1, 4])),
     ]:
         assert_products_equal(space, source, target, source_positions, target_positions)
+
+
+def test_postings_are_sized_by_the_feature_not_the_vocabulary(profiles, sample_xml):
+    # A small target whose features are built after a larger schema has
+    # grown the shared vocabulary holds postings in proportion to its
+    # own entries: one slot per distinct token it holds.
+    source, _ = profiles
+    small = build_profile(sample_xml)
+    space = FeatureSpace()
+    for kind in SET_KINDS + BAG_KINDS:
+        space.feature(source, kind)
+        feature = space.feature(small, kind)
+        postings = feature.postings()
+        assert np.array_equal(postings.vocab, np.unique(feature.indices)), kind
+        assert len(postings.ptr) == len(postings.vocab) + 1, kind
+        assert len(postings.tokens) == len(feature.indices), kind
+        assert len(postings.ptr) <= len(feature.indices) + 1 < len(feature.interner), kind
+    assert_products_equal(space, source, small, np.arange(0, len(source), 7), None)
 
 
 def test_unrestricted_products_stay_one_sparse_product(profiles):
