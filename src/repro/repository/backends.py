@@ -313,10 +313,7 @@ _MATCH_COLUMNS = (
     "asserted_by", "method", "confidence", "sequence", "context", "prov_note",
 )
 
-_INSERT_MATCH = (
-    f"INSERT INTO matches ({', '.join(_MATCH_COLUMNS)})"
-    f" VALUES ({', '.join('?' * len(_MATCH_COLUMNS))})"
-)
+_INSERT_MATCH = f"INSERT INTO matches ({', '.join(_MATCH_COLUMNS)})"
 
 #: One-row aggregate read (``{where}`` filters): per row, the columns then
 #: the id.  SQLite's JSON keeps 15 digits of a REAL (as does ``quote()``),
@@ -343,30 +340,39 @@ def _chunked(names: Sequence[str], size: int = _IN_CHUNK):
         yield ordered[start : start + size]
 
 
-def _upserts(table: str, rows: dict[str, dict]) -> list[tuple]:
-    """``INSERT OR REPLACE`` statements for ``name -> payload`` rows of
-    ``table``: one multi-row statement per ``_IN_CHUNK // 2`` rows.
+def _multi_row(insert: str, rows: Sequence[tuple], suffix: str = "") -> list[tuple]:
+    """``insert VALUES (...), (...) suffix`` statements over ``rows``, in
+    order: as many rows per statement as fit ``_IN_CHUNK`` parameters.
 
     sqlite3 releases the interpreter lock around every statement it
     steps, so one INSERT per row costs a writer racing a busy thread up
     to a switch interval per row (see :meth:`PooledSqliteBackend._read_json`).
     The values stay bound parameters: unlike a ``json_each`` insert, a
-    NUL-bearing name or payload is stored whole.
+    NUL-bearing name or payload is stored whole.  Rows insert in input
+    order, so AUTOINCREMENT ids follow it too.
     """
-    names = list(rows)
-    size = _IN_CHUNK // 2
+    if not rows:
+        return []
+    width = len(rows[0])
+    size = _IN_CHUNK // width
+    placeholder = "(" + ", ".join("?" * width) + ")"
     statements = []
-    for start in range(0, len(names), size):
-        chunk = names[start : start + size]
-        params: list[str] = []
-        for name in chunk:
-            params += (name, json.dumps(rows[name]))
+    for start in range(0, len(rows), size):
+        chunk = rows[start : start + size]
         statements.append((
-            f"INSERT OR REPLACE INTO {table} (name, payload) VALUES "
-            + ",".join(["(?, ?)"] * len(chunk)),
-            tuple(params),
+            f"{insert} VALUES " + ",".join([placeholder] * len(chunk)) + suffix,
+            tuple(value for row in chunk for value in row),
         ))
     return statements
+
+
+def _upserts(table: str, rows: dict[str, dict]) -> list[tuple]:
+    """``INSERT OR REPLACE`` statements for ``name -> payload`` rows of
+    ``table`` (multi-row, see :func:`_multi_row`)."""
+    return _multi_row(
+        f"INSERT OR REPLACE INTO {table} (name, payload)",
+        [(name, json.dumps(payload)) for name, payload in rows.items()],
+    )
 
 
 def _ensure_sqlite_schema(connection: sqlite3.Connection) -> None:
@@ -775,7 +781,7 @@ class PooledSqliteBackend:
         if not rows:
             return
         self._write(
-            [(_INSERT_MATCH, row) for row in rows]
+            _multi_row(_INSERT_MATCH, rows)
             + [(_BUMP_CLOCK, (1, "match_generation"))]
         )
 
@@ -856,17 +862,16 @@ class PooledSqliteBackend:
         batch = list(records)
         if not batch:
             return
-        self._write([
-            (
-                "INSERT INTO request_stats (key, endpoint, payload, count)"
-                " VALUES (?, ?, ?, ?)"
-                " ON CONFLICT(key) DO UPDATE SET"
-                " endpoint = excluded.endpoint, payload = excluded.payload,"
-                " count = count + excluded.count",
-                (key, endpoint, json.dumps(payload), count),
-            )
-            for key, endpoint, payload, count in batch
-        ])
+        self._write(_multi_row(
+            "INSERT INTO request_stats (key, endpoint, payload, count)",
+            [
+                (key, endpoint, json.dumps(payload), count)
+                for key, endpoint, payload, count in batch
+            ],
+            " ON CONFLICT(key) DO UPDATE SET"
+            " endpoint = excluded.endpoint, payload = excluded.payload,"
+            " count = count + excluded.count",
+        ))
 
     def hot_requests(self, limit: int) -> list[tuple[str, str, dict, int]]:
         rows = self._read(

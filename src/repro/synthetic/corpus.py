@@ -97,7 +97,9 @@ def generate_clustered_corpus(
         for ordinal in range(schemata_per_domain):
             name = f"D{domain_index}S{ordinal}"
             keys = rng.sample(domain_concepts[domain_index], concepts_per_schema)
-            for _ in range(noise_concepts):
+            # One domain has no other to borrow noise from; the draw is
+            # skipped so the rng sequence of every wider corpus is unchanged.
+            for _ in range(noise_concepts if n_domains > 1 else 0):
                 other_domain = rng.randrange(n_domains - 1)
                 if other_domain >= domain_index:
                     other_domain += 1

@@ -302,6 +302,44 @@ class TestRepositoryEdgeCases:
         assert sorted(backend.fingerprint_hashes()) == names[::2]
         repository.close()
 
+    def test_add_matches_and_record_requests_step_a_few_statements(self, tmp_path):
+        # 807 matches and 300 request counters: multi-row statements in one
+        # transaction each, not one per row; ids keep the input order and a
+        # NUL-bearing value is stored whole.
+        from repro.repository.provenance import ProvenanceRecord
+        from repro.repository.store import StoredMatch
+
+        repository = MetadataRepository(path=str(tmp_path / "m.db"), pool_size=1)
+        backend = repository.backend
+        connection = backend._acquire()
+        backend._release(connection)
+        provenance = ProvenanceRecord("tester", AssertionMethod.AUTOMATIC, 0.5)
+        matches = [
+            StoredMatch("a", "b", Correspondence(f"s{i}\x00x", f"t{i}", i / 1000), provenance)
+            for i in range(807)
+        ]
+        statements = []
+        connection.set_trace_callback(statements.append)
+        backend.add_matches(matches)
+        backend.record_requests(
+            [(f"k{i}", "/match", {"q": f"v{i}\x00w"}, 1) for i in range(300)]
+        )
+        connection.set_trace_callback(None)
+        verbs = [s.split()[0].upper() for s in statements]
+        assert verbs.count("INSERT") <= 30
+        assert verbs.count("COMMIT") == 2
+        assert len(statements) <= 40
+        stored = backend.all_matches()
+        assert [m.correspondence.source_id for m in stored] == [
+            m.correspondence.source_id for m in matches
+        ]
+        assert [m.correspondence.score for m in stored] == [i / 1000 for i in range(807)]
+        hot = backend.hot_requests(300)
+        assert {key: payload for key, _, payload, _ in hot} == {
+            f"k{i}": {"q": f"v{i}\x00w"} for i in range(300)
+        }
+        repository.close()
+
     def test_store_matches_requires_registered_schemas(self, repository):
         with pytest.raises(KeyError):
             repository.store_matches(

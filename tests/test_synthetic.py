@@ -387,3 +387,16 @@ class TestClusteredCorpus:
     def test_validation(self):
         with pytest.raises(ValueError):
             generate_clustered_corpus(concepts_per_schema=20, concepts_per_domain=10)
+
+    def test_one_domain_corpora_build_without_noise(self):
+        from repro.synthetic import generate_enterprise_corpus, generate_scaled_corpus
+
+        corpora = [
+            generate_clustered_corpus(n_domains=1, schemata_per_domain=3, seed=11),
+            generate_enterprise_corpus(n_schemata=4, n_domains=1, seed=11),
+            generate_scaled_corpus(6, n_base_domains=1, schemata_per_domain=3),
+        ]
+        for corpus in corpora:
+            assert corpus.schemata
+            assert set(corpus.labels()) <= set(range(len(corpus.domain_concepts)))
+
