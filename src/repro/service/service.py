@@ -101,13 +101,6 @@ class MatchService:
         The auto-routing shape threshold (see the module constant).
     asserted_by:
         The asserter recorded on response provenance and persisted matches.
-    oracle_cache:
-        The judgement cache cascaded requests share: any
-        :class:`~repro.server.distcache.CacheBackend` (pass a
-        :class:`~repro.server.distcache.TieredCache` to share oracle
-        judgements across replicas, exactly like response caching).  A
-        private in-process :class:`~repro.server.cache.ResponseCache` is
-        created lazily when omitted and a cascade first compiles.
     tracer:
         The :class:`~repro.telemetry.Tracer` gating span-tree tracing for
         requests that opt in via ``MatchOptions.trace`` (a default
@@ -122,7 +115,6 @@ class MatchService:
         auto_batch_pairs: int = DEFAULT_AUTO_BATCH_PAIRS,
         asserted_by: str = "match-service",
         corpus_shards: int = 1,
-        oracle_cache=None,
         tracer: Tracer | None = None,
     ):
         self.options = options if options is not None else MatchOptions()
@@ -144,7 +136,7 @@ class MatchService:
         #: Compiled cascades (plan -> executor), all sharing the service's
         #: oracle cache and spend counters.
         self._cascades: dict[CascadePlan, CascadeExecutor] = {}
-        self._oracle_cache = oracle_cache
+        self._oracle_cache = None
         self.cascade_counters = CascadeCounters()
         self._corpus_index: ShardedCorpusIndex | None = None
         self._refresh_worker: CorpusRefreshWorker | None = None
@@ -163,7 +155,9 @@ class MatchService:
     # Compiled executors (cached by options value)
     # ------------------------------------------------------------------
     def oracle_cache(self):
-        """The shared oracle-judgement cache (created lazily)."""
+        """The oracle-judgement cache every cascade of this service shares:
+        a private in-process :class:`~repro.server.cache.ResponseCache`,
+        created when a cascade first compiles."""
         with self._lock:
             if self._oracle_cache is None:
                 from repro.server.cache import ResponseCache
@@ -205,7 +199,7 @@ class MatchService:
         status["compiled_plans"] = len(self._cascades)
         with self._lock:
             cache = self._oracle_cache
-        if cache is not None and hasattr(cache, "describe"):
+        if cache is not None:
             status["oracle_cache"] = cache.describe()
         return status
 
